@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .harness import ExperimentConfig, repeated_datasets, run_experiment
 from .models import FAMILY_OF
+from .samplers import BACKENDS
 
 
 def _add_common(parser):
@@ -22,7 +23,7 @@ def _add_common(parser):
     parser.add_argument("--covariates", choices=["continuous", "binary"])
     parser.add_argument("--zero-pattern", type=int, dest="zero_pattern",
                         help="number of trailing true-zero coefficients")
-    parser.add_argument("--backends", help="comma-separated: gibbs,nuts,rwmh")
+    parser.add_argument("--backends", help=f"comma-separated: {','.join(BACKENDS)}")
     parser.add_argument("--chains", type=int, help="parallel chains per backend")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output directory")
@@ -31,7 +32,8 @@ def _add_common(parser):
     parser.add_argument("--nthin", type=int, dest="n_thin", help="override thinning")
     parser.add_argument("--max-workers", type=int, dest="max_workers")
     parser.add_argument("--format", choices=["csv", "json"], default=None,
-                        help="report format when --out is set (default csv)")
+                        help="stdout report format (default csv); --out always "
+                             "gets both report.csv and report.json")
 
 
 def build_parser():

@@ -21,10 +21,10 @@ import numpy as np
 from . import datagen, diagnostics
 from .models import FAMILY_OF, get_model
 from .models.mixture import predictive_density
-from .samplers import SamplerConfig, chain_rng
+from .samplers import BACKENDS, SamplerConfig, chain_rng
 from .samplers import run as run_backend_sampler
 
-# (N_it, N_b) defaults per prior; N_thin is 2 throughout.
+# (N_it, N_b) defaults per prior; N_thin defaults to 2.
 SCHEDULES = {
     "LM-C": (11000, 1000),
     "LM-WI": (15000, 5000),
@@ -70,7 +70,7 @@ class ExperimentConfig:
     covariates: str = "continuous"
     zero_pattern: int = 0
     k: float = 0.5  # target censored fraction (AFT)
-    backends: tuple = ("gibbs", "nuts", "rwmh")
+    backends: tuple = tuple(BACKENDS)
     chains: int = 1
     seed: int = 0
     repeats: int = 1
@@ -90,6 +90,11 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if isinstance(self.backends, str):
             self.backends = tuple(s for s in self.backends.split(",") if s)
+        unknown = [b for b in self.backends if b not in BACKENDS]
+        if unknown:
+            raise ValueError(
+                f"unknown backends {unknown}; expected some of {sorted(BACKENDS)}"
+            )
 
     @property
     def family(self) -> str:
@@ -316,11 +321,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             for i, chain in enumerate(rep.chains):
                 chain.to_csv(out / f"chain_{backend}_{i}.csv")
     return reports
-
-
-def run_parallel_chains(cfg: ExperimentConfig) -> dict:
-    """Alias of run_experiment for K >= 1 chains; kept for clarity at call sites."""
-    return run_experiment(cfg)
 
 
 def repeated_datasets(cfg: ExperimentConfig) -> dict:

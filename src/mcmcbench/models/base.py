@@ -6,8 +6,8 @@ Every model exposes the same surface to the samplers:
   scale, transform log-Jacobian included
 - ``logp_and_grad(u)``: value plus hand-derived gradient (continuous
   parameterizations only)
-- ``pointwise_log_lik(params)``: per-observation log-likelihood on the
-  constrained scale, for LPML/WAIC
+- ``log_likelihood_pointwise(params)``: per-observation log-likelihood on
+  the constrained scale, for LPML/WAIC
 - ``gibbs_scan(state, rng, slice_fn)``: one systematic scan of block
   updates; conjugate blocks are drawn exactly, the rest take one slice
   step through the injected ``slice_fn``
@@ -77,9 +77,6 @@ class Model:
     def log_prior(self, params: dict) -> float:
         raise NotImplementedError
 
-    def pointwise_log_lik(self, params: dict) -> np.ndarray:
-        return self.log_likelihood_pointwise(params)
-
     def log_posterior_u(self, u: np.ndarray) -> float:
         params = self.space.constrain(u)
         lik = float(np.sum(self.log_likelihood_pointwise(params)))
@@ -116,8 +113,3 @@ class Model:
 
 def gaussian_loglik(y: np.ndarray, mean, sigma2: float) -> np.ndarray:
     return -0.5 * (np.log(2.0 * np.pi * sigma2) + (y - mean) ** 2 / sigma2)
-
-
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))).ravel()

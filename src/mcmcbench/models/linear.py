@@ -97,6 +97,8 @@ class LinearModel(Model):
             self._V = cho_solve(self._cho_A, np.eye(p))
             self._Lv = np.linalg.cholesky(self._V)
             self._beta_hat = self._V @ self.Xty
+        if prior_id == "LM-L":
+            self._col_sq = np.einsum("ij,ij->j", self.X, self.X)
 
     # ---- helpers ---------------------------------------------------
 
@@ -104,6 +106,21 @@ class LinearModel(Model):
         if "sigma2" in params:
             return float(np.atleast_1d(params["sigma2"])[0])
         return float(np.atleast_1d(params["sigma"])[0]) ** 2
+
+    def _lasso_beta_logdens(self, r, j, bj, s2, root):
+        """LM-L log full conditional of beta[j], up to a constant.
+
+        ``r`` is the residual vector at beta[j] = bj; the quadratic is
+        expanded around bj so each evaluation is O(1).
+        """
+        cj = self.X[:, j] @ r
+        sq = self._col_sq[j]
+
+        def logpdf(b):
+            d = b - bj
+            return -(-2.0 * d * cj + d * d * sq) / (2.0 * s2) - abs(b) * root
+
+        return logpdf
 
     # ---- densities -------------------------------------------------
 
@@ -239,21 +256,12 @@ class LinearModel(Model):
         lam2 = float(state["lambda2"][0])
         root = math.sqrt(lam2)
         r = self.y - self.X @ beta
-        col_sq = getattr(self, "_col_sq", None)
-        if col_sq is None:
-            col_sq = self._col_sq = np.einsum("ij,ij->j", self.X, self.X)
         for j in range(self.p):
-            xj = self.X[:, j]
-            cj = xj @ r
             bj = beta[j]
-
-            def logpdf(b, bj=bj, cj=cj, sq=col_sq[j]):
-                d = b - bj
-                return -(-2.0 * d * cj + d * d * sq) / (2.0 * s2) - abs(b) * root
-
+            logpdf = self._lasso_beta_logdens(r, j, bj, s2, root)
             new = slice_fn(logpdf, bj, f"beta[{j}]")
             if new != bj:
-                r -= (new - bj) * xj
+                r -= (new - bj) * self.X[:, j]
                 beta[j] = new
         a = (h["nu0"] + self.n) / 2.0
         b = (h["nu0"] * h["sigma02"] + r @ r) / 2.0
@@ -322,20 +330,11 @@ class LinearModel(Model):
                 return ConditionalSpec.generic(logpdf)
             if block.startswith("beta["):
                 j = int(block[5:-1])
-                others = beta.copy()
-                r0 = self.y - self.X @ others + others[j] * self.X[:, j]
-                xj = self.X[:, j]
-                root = math.sqrt(lam2)
-
-                def logpdf(b):
-                    r = r0 - b * xj
-                    return -float(r @ r) / (2.0 * s2) - abs(b) * root
-
-                return ConditionalSpec.generic(logpdf)
+                r = self.y - self.X @ beta
+                return ConditionalSpec.generic(
+                    self._lasso_beta_logdens(r, j, beta[j], s2, math.sqrt(lam2))
+                )
         raise KeyError(f"no conditional for block {block!r} under {self.prior_id}")
-
-    def rw_block_names(self):
-        return [b.name for b in self.space.blocks]
 
     # ---- conjugate oracle ------------------------------------------
 

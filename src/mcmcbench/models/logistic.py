@@ -95,8 +95,25 @@ class LogisticModel(Model):
             out["lambda2"] = np.array([1.0])
         return out
 
-    def gibbs_scan(self, state, rng, slice_fn):
+    def _beta_logdens(self, eta, j, bj, root):
+        """Log full conditional of beta[j], up to a constant.
+
+        ``eta`` is the linear predictor at beta[j] = bj; ``root`` is
+        sqrt(lambda2) under LR-L and unused under LR-N.
+        """
         h = self.hyper
+        xj = self.X[:, j]
+
+        def logpdf(b):
+            e = eta + (b - bj) * xj
+            lik = float(np.sum(self.y * e - _log1p_exp(e)))
+            if self.prior_id == "LR-N":
+                return lik - b * b / (2.0 * h["b02"])
+            return lik - abs(b) * root
+
+        return logpdf
+
+    def gibbs_scan(self, state, rng, slice_fn):
         beta = state["beta"]
         eta = self.X @ beta
         if self.prior_id == "LR-L":
@@ -105,19 +122,10 @@ class LogisticModel(Model):
         else:
             root = None
         for j in range(self.p):
-            xj = self.X[:, j]
             bj = beta[j]
-
-            def logpdf(b, bj=bj, xj=xj):
-                e = eta + (b - bj) * xj
-                lik = float(np.sum(self.y * e - _log1p_exp(e)))
-                if self.prior_id == "LR-N":
-                    return lik - b * b / (2.0 * h["b02"])
-                return lik - abs(b) * root
-
-            new = slice_fn(logpdf, bj, f"beta[{j}]")
+            new = slice_fn(self._beta_logdens(eta, j, bj, root), bj, f"beta[{j}]")
             if new != bj:
-                eta += (new - bj) * xj
+                eta += (new - bj) * self.X[:, j]
                 beta[j] = new
         if self.prior_id == "LR-L":
             spec = self.full_conditional("lambda2", state)
@@ -128,19 +136,12 @@ class LogisticModel(Model):
         beta = np.asarray(params["beta"], dtype=float)
         if block.startswith("beta["):
             j = int(block[5:-1])
-            eta0 = self.X @ beta - beta[j] * self.X[:, j]
-            xj = self.X[:, j]
+            root = None
             if self.prior_id == "LR-L":
                 root = math.sqrt(float(np.atleast_1d(params["lambda2"])[0]))
-
-            def logpdf(b):
-                e = eta0 + b * xj
-                lik = float(np.sum(self.y * e - _log1p_exp(e)))
-                if self.prior_id == "LR-N":
-                    return lik - b * b / (2.0 * h["b02"])
-                return lik - abs(b) * root
-
-            return ConditionalSpec.generic(logpdf)
+            return ConditionalSpec.generic(
+                self._beta_logdens(self.X @ beta, j, beta[j], root)
+            )
         if block == "lambda2" and self.prior_id == "LR-L":
             abs_sum = float(np.abs(beta).sum())
 

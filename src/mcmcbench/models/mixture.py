@@ -23,7 +23,7 @@ from scipy.special import gammaln
 from ..datagen import Dataset
 from ..distributions import Categorical, Dirichlet, Gaussian, InverseGamma
 from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax
-from .base import ConditionalSpec, Model, logsumexp_rows
+from .base import ConditionalSpec, Model
 
 HYPER_DEFAULTS = {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
 
@@ -33,6 +33,21 @@ def _ig_logpdf(x, a, b):
         return -math.inf
     x = np.asarray(x, dtype=float)
     return float(np.sum(a * math.log(b) - gammaln(a) - b / x - (a + 1.0) * np.log(x)))
+
+
+def _sum_over_obs(a: np.ndarray) -> np.ndarray:
+    """Row sums of an (H, n) matrix, added left to right.
+
+    This is the order in which numpy sums the columns of the (n, H)
+    transpose; a plain row sum would add pairwise and round differently.
+    """
+    return np.add.accumulate(a, axis=1)[:, -1]
+
+
+def _logsumexp_components(a: np.ndarray) -> np.ndarray:
+    """Per-observation log-sum-exp over the components of an (H, n) matrix."""
+    m = a.max(axis=0)
+    return m + np.log(np.exp(a - m).sum(axis=0))
 
 
 class MixtureModel(Model):
@@ -72,23 +87,27 @@ class MixtureModel(Model):
 
     # ---- marginal densities ----------------------------------------
 
-    def _component_logpdf(self, params) -> np.ndarray:
-        """(n, H) matrix of log N(y_i | mu_h, s_h)."""
+    def _component_logpdf(self, params):
+        """(H, n) matrix of log N(y_i | mu_h, s_h) and the residuals y_i - mu_h.
+
+        Components run along the first axis so that every elementwise and
+        per-observation operation works on contiguous rows of length n.
+        """
         mu = params["mu"]
         s = params["sigma2"]
-        d = self.y[:, None] - mu[None, :]
-        return -0.5 * (np.log(2.0 * math.pi * s)[None, :] + d * d / s[None, :])
+        d = self.y - mu[:, None]
+        return -0.5 * (np.log(2.0 * math.pi * s)[:, None] + d * d / s[:, None]), d
 
     def log_likelihood_pointwise(self, params):
         # marginal likelihood regardless of parameterization; the latent
         # joint is exposed via log_joint_given_z
-        comp = self._component_logpdf(params) + np.log(params["p"])[None, :]
-        return logsumexp_rows(comp)
+        comp, _ = self._component_logpdf(params)
+        return _logsumexp_components(comp + np.log(params["p"])[:, None])
 
     def log_joint_given_z(self, params, z: np.ndarray) -> float:
-        comp = self._component_logpdf(params)
+        comp, _ = self._component_logpdf(params)
         idx = np.arange(self.n)
-        return float(np.sum(comp[idx, z]) + np.sum(np.log(params["p"])[z]))
+        return float(np.sum(comp[z, idx]) + np.sum(np.log(params["p"])[z]))
 
     def log_prior(self, params):
         h = self.hyper
@@ -123,14 +142,14 @@ class MixtureModel(Model):
         h = self.hyper
         mu, s, p = params["mu"], params["sigma2"], params["p"]
         v2 = float(np.atleast_1d(params["v2"])[0])
-        comp = self._component_logpdf(params) + np.log(p)[None, :]
-        mix = logsumexp_rows(comp)
-        W = np.exp(comp - mix[:, None])  # responsibilities, rows sum to 1
+        comp, d = self._component_logpdf(params)
+        comp += np.log(p)[:, None]
+        mix = _logsumexp_components(comp)
+        W = np.exp(comp - mix)  # responsibilities, columns sum to 1
         value = float(np.sum(mix)) + self.log_prior(params) + self.space.log_jac(u)
-        d = self.y[:, None] - mu[None, :]
-        g_mu = np.sum(W * d, axis=0) / s - mu / v2
+        g_mu = _sum_over_obs(W * d) / s - mu / v2
         g_s = (
-            np.sum(W * (-0.5 / s[None, :] + d * d / (2.0 * s[None, :] ** 2)), axis=0)
+            _sum_over_obs(W * (-0.5 / s[:, None] + d * d / (2.0 * s[:, None] ** 2)))
             - (h["c0"] + 1.0) / s
             + h["d0"] / s**2
         )
@@ -139,7 +158,7 @@ class MixtureModel(Model):
             - (h["a0"] + 1.0) / v2
             + h["b0"] / v2**2
         )
-        g_p = np.sum(W, axis=0) / p  # Dirichlet(1,..,1) prior is flat
+        g_p = _sum_over_obs(W) / p  # Dirichlet(1,..,1) prior is flat
         grads = {"mu": g_mu, "sigma2": g_s, "v2": g_v2, "p": g_p}
         return value, self.space.grad_to_unconstrained(u, grads)
 
@@ -158,13 +177,14 @@ class MixtureModel(Model):
         return np.argmin(np.abs(self.y[:, None] - params["mu"][None, :]), axis=1)
 
     def resample_latent(self, params, rng) -> np.ndarray:
-        logw = self._component_logpdf(params) + np.log(params["p"])[None, :]
-        logw -= logw.max(axis=1, keepdims=True)
+        comp, _ = self._component_logpdf(params)
+        logw = comp + np.log(params["p"])[:, None]
+        logw -= logw.max(axis=0)
         w = np.exp(logw)
-        w /= w.sum(axis=1, keepdims=True)
-        cum = np.cumsum(w, axis=1)
+        w /= w.sum(axis=0)
+        cum = np.cumsum(w, axis=0)
         u = rng.random(self.n)
-        return (u[:, None] > cum).sum(axis=1).clip(0, self.H - 1)
+        return (u > cum).sum(axis=0).clip(0, self.H - 1)
 
     def gibbs_scan(self, state, rng, slice_fn):
         h = self.hyper

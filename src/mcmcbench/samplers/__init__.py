@@ -1,28 +1,7 @@
 """Sampling backends: random-walk Metropolis, Gibbs/slice, and NUTS."""
 
-from .common import Chain, SamplerConfig, chain_rng
-from .gibbs import run_gibbs
-from .nuts import run_nuts
-from .rwmh import run_rwmh
+from .common import BACKENDS, Chain, SamplerConfig, chain_rng, run
 from .slice_sampling import SliceBracketError, slice_step
-
-BACKENDS = {
-    "rwmh": run_rwmh,
-    "gibbs": run_gibbs,
-    "nuts": run_nuts,
-}
-
-
-def run(backend, model, cfg, rng=None):
-    """Run one chain of the named backend ("rwmh", "gibbs", or "nuts")."""
-    try:
-        fn = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
-        ) from None
-    return fn(model, cfg, rng=rng)
-
 
 __all__ = [
     "BACKENDS",
@@ -31,8 +10,5 @@ __all__ = [
     "SliceBracketError",
     "chain_rng",
     "run",
-    "run_gibbs",
-    "run_nuts",
-    "run_rwmh",
     "slice_step",
 ]

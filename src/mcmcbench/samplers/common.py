@@ -1,14 +1,27 @@
-"""Sampler configuration and chain storage shared by all backends."""
+"""Sampler configuration, chain storage and the sampling loop shared by all backends.
+
+Each backend module supplies only its transition kernel as
+``start(model, cfg, rng) -> (step, draw, stats)``.  ``start`` does the set-up
+(initial state, adaptation state, any tuning that precedes sampling);
+``step(it)`` advances the chain by one iteration (1-based); ``draw()``
+returns the current state as a flat constrained row; ``stats()`` returns
+the backend's summary statistics once the chain has finished.  ``run``
+owns everything else: the random stream, burn-in, thinning, timing and the
+resulting ``Chain``.
+"""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-BACKENDS = ("rwmh", "gibbs", "nuts")
+from . import gibbs, nuts, rwmh
+
+BACKENDS = {"gibbs": gibbs.start, "nuts": nuts.start, "rwmh": rwmh.start}
 
 
 @dataclass
@@ -28,9 +41,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.n_burn >= self.n_iter:
-            raise ValueError("n_burn must be smaller than n_iter")
+            raise ValueError(f"backend must be one of {sorted(BACKENDS)}")
+        if not 0 <= self.n_burn < self.n_iter:
+            raise ValueError("need 0 <= n_burn < n_iter")
         if self.n_thin < 1 or (self.n_iter - self.n_burn) % self.n_thin != 0:
             raise ValueError("n_thin must divide (n_iter - n_burn)")
 
@@ -60,10 +73,6 @@ class Chain:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def n_it_per_s(self) -> float:
-        return self.n_iter / self.t_s
 
     def col(self, name: str) -> np.ndarray:
         return self.samples[:, self.names.index(name)]
@@ -97,3 +106,41 @@ class Chain:
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
     """Deterministic per-chain stream derived from the base seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_index,)))
+
+
+def run(backend, model, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> Chain:
+    """Run one chain of ``backend``, a key of ``BACKENDS``.
+
+    ``t_s`` times the iterations only: the backend's set-up runs before the
+    clock starts and its summary statistics are gathered after it stops.
+    """
+    try:
+        start = BACKENDS[backend]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
+        ) from None
+    if rng is None:
+        rng = chain_rng(cfg.seed)
+    step, draw, stats = start(model, cfg, rng)
+    rows = np.empty((cfg.n_samples, model.space.constrained_dim))
+    row = 0
+    clock = time.perf_counter
+    t0 = clock()
+    for it in range(1, cfg.n_iter + 1):
+        step(it)
+        if cfg.keep(it):
+            rows[row] = draw()
+            row += 1
+    t_s = clock() - t0
+    return Chain(
+        samples=rows,
+        names=model.space.names(),
+        backend=backend,
+        seed=cfg.seed,
+        n_iter=cfg.n_iter,
+        n_burn=cfg.n_burn,
+        n_thin=cfg.n_thin,
+        t_s=t_s,
+        stats=stats(),
+    )

@@ -8,17 +8,12 @@ sampler configuration and failures carry the block name.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .common import Chain, SamplerConfig, chain_rng
 from .slice_sampling import slice_step
 
 
-def run_gibbs(model, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> Chain:
-    if rng is None:
-        rng = chain_rng(cfg.seed)
+def start(model, cfg, rng):
     state = {k: np.array(v, dtype=float, copy=True) for k, v in model.initial_params().items()}
 
     def slice_fn(logpdf, x0, block):
@@ -31,24 +26,10 @@ def run_gibbs(model, cfg: SamplerConfig, rng: np.random.Generator | None = None)
             block=block,
         )
 
-    rows = np.empty((cfg.n_samples, model.space.constrained_dim))
-    row = 0
-    t0 = time.perf_counter()
-    for it in range(1, cfg.n_iter + 1):
+    def step(it):
         model.gibbs_scan(state, rng, slice_fn)
-        if cfg.keep(it):
-            rows[row] = model.space.flatten_constrained(state)
-            row += 1
-    t_s = time.perf_counter() - t0
 
-    return Chain(
-        samples=rows,
-        names=model.space.names(),
-        backend="gibbs",
-        seed=cfg.seed,
-        n_iter=cfg.n_iter,
-        n_burn=cfg.n_burn,
-        n_thin=cfg.n_thin,
-        t_s=t_s,
-        stats={},
-    )
+    def draw():
+        return model.space.flatten_constrained(state)
+
+    return step, draw, dict  # no summary statistics

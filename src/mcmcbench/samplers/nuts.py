@@ -10,21 +10,25 @@ are flagged as divergent and the doubling stops.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
-
-from .common import Chain, SamplerConfig, chain_rng
 
 DIVERGENCE_CAP = 1000.0
 
 
-def leapfrog(grad, q, p, eps):
-    """One leapfrog update: half momentum kick, drift, half kick."""
-    p_half = p + 0.5 * eps * grad(q)
+def leapfrog(logp_and_grad, q, p, grad_q, eps):
+    """One leapfrog update: half momentum kick, drift, half kick.
+
+    ``grad_q`` is the gradient at ``q``, carried over from the previous
+    step, so each update costs one ``logp_and_grad`` call.  Returns the new
+    position and momentum with the log density and gradient at the new
+    position.
+    """
+    p_half = p + 0.5 * eps * grad_q
     q_new = q + eps * p_half
-    p_new = p_half + 0.5 * eps * grad(q_new)
-    return q_new, p_new
+    logp_new, grad_new = logp_and_grad(q_new)
+    p_new = p_half + 0.5 * eps * grad_new
+    return q_new, p_new, logp_new, grad_new
 
 
 class _Tree:
@@ -38,18 +42,10 @@ class _Tree:
     )
 
 
-def _leapfrog_cached(logp_and_grad, q, p, grad_q, eps):
-    p_half = p + 0.5 * eps * grad_q
-    q_new = q + eps * p_half
-    logp_new, grad_new = logp_and_grad(q_new)
-    p_new = p_half + 0.5 * eps * grad_new
-    return q_new, p_new, logp_new, grad_new
-
-
 def _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth, eps, rng):
     if depth == 0:
         with np.errstate(over="ignore", invalid="ignore"):
-            q1, p1, logp1, g1 = _leapfrog_cached(
+            q1, p1, logp1, g1 = leapfrog(
                 model.logp_and_grad, q, p, grad_q, direction * eps
             )
             joint = logp1 - 0.5 * float(p1 @ p1)
@@ -100,33 +96,31 @@ def _find_reasonable_epsilon(model, q, rng):
     logp, grad = model.logp_and_grad(q)
     p = rng.standard_normal(q.size)
     joint0 = logp - 0.5 * float(p @ p)
-    q1, p1, logp1, _ = _leapfrog_cached(model.logp_and_grad, q, p, grad, eps)
+    q1, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
     joint1 = logp1 - 0.5 * float(p1 @ p1)
     while not math.isfinite(joint1):
         eps *= 0.5
         if eps < 1e-10:
             return 1e-10
-        q1, p1, logp1, _ = _leapfrog_cached(model.logp_and_grad, q, p, grad, eps)
+        q1, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
         joint1 = logp1 - 0.5 * float(p1 @ p1)
     direction = 1.0 if joint1 - joint0 > math.log(0.5) else -1.0
     while direction * (joint1 - joint0) > -direction * math.log(2.0):
         eps *= 2.0**direction
         if eps > 1e7 or eps < 1e-10:
             break
-        q1, p1, logp1, _ = _leapfrog_cached(model.logp_and_grad, q, p, grad, eps)
+        q1, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
         joint1 = logp1 - 0.5 * float(p1 @ p1)
         if not math.isfinite(joint1):
             joint1 = -math.inf
     return eps
 
 
-def run_nuts(model, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> Chain:
+def start(model, cfg, rng):
     if not model.has_gradient:
         raise RuntimeError(
             "NUTS needs a gradient; use the marginal parameterization for mixtures"
         )
-    if rng is None:
-        rng = chain_rng(cfg.seed)
     q = model.initial_u().copy()
     logp, grad = model.logp_and_grad(q)
 
@@ -139,10 +133,10 @@ def run_nuts(model, cfg: SamplerConfig, rng: np.random.Generator | None = None) 
     n_divergent = 0
     n_maxdepth = 0
     depth_total = 0
-    rows = np.empty((cfg.n_samples, model.space.constrained_dim))
-    row = 0
-    t_start = time.perf_counter()
-    for it in range(1, cfg.n_iter + 1):
+
+    def step(it):
+        nonlocal q, logp, grad, eps, log_eps_bar, h_bar
+        nonlocal n_divergent, n_maxdepth, depth_total
         p0 = rng.standard_normal(q.size)
         joint0 = logp - 0.5 * float(p0 @ p0)
         log_u = joint0 + math.log(rng.random())
@@ -199,25 +193,16 @@ def run_nuts(model, cfg: SamplerConfig, rng: np.random.Generator | None = None) 
             eps = math.exp(log_eps)
             if it == cfg.n_burn:
                 eps = math.exp(log_eps_bar)
-        if cfg.keep(it):
-            rows[row] = model.space.flatten_constrained(model.space.constrain(q))
-            row += 1
-    t_s = time.perf_counter() - t_start
 
-    stats = {
-        "step_size": eps,
-        "n_divergent": n_divergent,
-        "n_max_depth": n_maxdepth,
-        "mean_tree_depth": depth_total / cfg.n_iter,
-    }
-    return Chain(
-        samples=rows,
-        names=model.space.names(),
-        backend="nuts",
-        seed=cfg.seed,
-        n_iter=cfg.n_iter,
-        n_burn=cfg.n_burn,
-        n_thin=cfg.n_thin,
-        t_s=t_s,
-        stats=stats,
-    )
+    def draw():
+        return model.space.flatten_constrained(model.space.constrain(q))
+
+    def stats():
+        return {
+            "step_size": eps,
+            "n_divergent": n_divergent,
+            "n_max_depth": n_maxdepth,
+            "mean_tree_depth": depth_total / cfg.n_iter,
+        }
+
+    return step, draw, stats

@@ -10,18 +10,11 @@ updates of the continuous blocks.
 from __future__ import annotations
 
 import math
-import time
-
-import numpy as np
-
-from .common import Chain, SamplerConfig, chain_rng
 
 SCALE_FLOOR = 1e-8
 
 
-def run_rwmh(model, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> Chain:
-    if rng is None:
-        rng = chain_rng(cfg.seed)
+def start(model, cfg, rng):
     u = model.initial_u().copy()
     latent = model.is_latent
     z = model.initial_z(model.space.constrain(u)) if latent else None
@@ -39,16 +32,14 @@ def run_rwmh(model, cfg: SamplerConfig, rng: np.random.Generator | None = None) 
         for nm in block_names
     }
     accept_count = {nm: 0 for nm in block_names}
-    post_burn_proposals = 0
 
     def logp(uu, zz):
         return model.log_posterior_u(uu, zz) if latent else model.log_posterior_u(uu)
 
     current = logp(u, z)
-    rows = np.empty((cfg.n_samples, model.space.constrained_dim))
-    row = 0
-    t0 = time.perf_counter()
-    for it in range(1, cfg.n_iter + 1):
+
+    def step(it):
+        nonlocal u, z, current
         if latent:
             z = model.resample_latent(model.space.constrain(u), rng)
             current = logp(u, z)
@@ -64,31 +55,20 @@ def run_rwmh(model, cfg: SamplerConfig, rng: np.random.Generator | None = None) 
                 current = prop_lp
             if it <= cfg.n_burn:
                 alpha = min(1.0, math.exp(min(0.0, log_alpha)))
-                step = it ** -0.6
-                log_scale[nm] += step * (alpha - targets[nm])
+                gain = it ** -0.6
+                log_scale[nm] += gain * (alpha - targets[nm])
                 log_scale[nm] = max(log_scale[nm], math.log(SCALE_FLOOR))
             else:
                 accept_count[nm] += int(accepted)
-        if it > cfg.n_burn:
-            post_burn_proposals += 1
-        if cfg.keep(it):
-            rows[row] = model.space.flatten_constrained(model.space.constrain(u))
-            row += 1
-    t_s = time.perf_counter() - t0
 
-    denom = max(post_burn_proposals, 1)
-    stats = {
-        "acceptance": {nm: accept_count[nm] / denom for nm in block_names},
-        "proposal_scales": {nm: math.exp(s) for nm, s in log_scale.items()},
-    }
-    return Chain(
-        samples=rows,
-        names=model.space.names(),
-        backend="rwmh",
-        seed=cfg.seed,
-        n_iter=cfg.n_iter,
-        n_burn=cfg.n_burn,
-        n_thin=cfg.n_thin,
-        t_s=t_s,
-        stats=stats,
-    )
+    def draw():
+        return model.space.flatten_constrained(model.space.constrain(u))
+
+    def stats():
+        post_burn = cfg.n_iter - cfg.n_burn
+        return {
+            "acceptance": {nm: accept_count[nm] / post_burn for nm in block_names},
+            "proposal_scales": {nm: math.exp(s) for nm, s in log_scale.items()},
+        }
+
+    return step, draw, stats

@@ -150,17 +150,19 @@ def test_7_property_suite():
     cov = np.array([[1.0, 0.6], [0.6, 2.0]])
     prec = np.linalg.inv(cov)
     grad = lambda q: -prec @ q
+    logp_and_grad = lambda q: (-0.5 * q @ prec @ q, grad(q))
     energy = lambda q, p: 0.5 * q @ prec @ q + 0.5 * p @ p
     q0, p0 = rng.normal(size=2), rng.normal(size=2)
-    q1, p1 = leapfrog(grad, q0, p0, 0.1)
-    qb, pb = leapfrog(grad, q1, -p1, 0.1)
+    q1, p1, _, g1 = leapfrog(logp_and_grad, q0, p0, grad(q0), 0.1)
+    qb, pb, _, _ = leapfrog(logp_and_grad, q1, -p1, g1, 0.1)
     if not (np.allclose(qb, q0, atol=1e-12) and np.allclose(-pb, p0, atol=1e-12)):
         ok = False
     errs = []
     for eps in (0.2, 0.1, 0.05):
         q, p = q0.copy(), p0.copy()
+        g = grad(q)
         for _ in range(int(round(1.0 / eps))):
-            q, p = leapfrog(grad, q, p, eps)
+            q, p, _, g = leapfrog(logp_and_grad, q, p, g, eps)
         errs.append(abs(energy(q, p) - energy(q0, p0)))
     if not all(errs[i] / errs[i + 1] > 3.0 for i in range(2)):
         ok = False

@@ -30,6 +30,8 @@ def test_config_validation():
         ExperimentConfig(prior="LM-C", chains=0)
     with pytest.raises(ValueError):
         ExperimentConfig(prior="LM-C", repeats=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(prior="LM-C", backends="gibbs,stan")
 
 
 def test_schedule_defaults():

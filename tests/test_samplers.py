@@ -12,9 +12,6 @@ from mcmcbench.samplers import (
     SliceBracketError,
     chain_rng,
     run,
-    run_gibbs,
-    run_nuts,
-    run_rwmh,
     slice_step,
 )
 from mcmcbench.samplers.nuts import leapfrog
@@ -140,28 +137,29 @@ def test_slice_bracket_error_names_block():
 # leapfrog
 
 
-def _quad_grad(prec):
-    return lambda q: -prec @ q
+def _quad_logp_and_grad(prec):
+    return lambda q: (-0.5 * float(q @ prec @ q), -prec @ q)
 
 
 def test_leapfrog_reversibility():
     prec = np.array([[2.0, 0.3], [0.3, 1.0]])
-    grad = _quad_grad(prec)
+    logp_and_grad = _quad_logp_and_grad(prec)
     q0 = np.array([0.5, -1.0])
     p0 = np.array([1.0, 0.2])
     q, p = q0, p0
+    g = logp_and_grad(q)[1]
     for _ in range(25):
-        q, p = leapfrog(grad, q, p, 0.1)
+        q, p, _, g = leapfrog(logp_and_grad, q, p, g, 0.1)
     q, p = q, -p
     for _ in range(25):
-        q, p = leapfrog(grad, q, p, 0.1)
+        q, p, _, g = leapfrog(logp_and_grad, q, p, g, 0.1)
     np.testing.assert_allclose(q, q0, atol=1e-12)
     np.testing.assert_allclose(-p, p0, atol=1e-12)
 
 
 def test_leapfrog_energy_error_scales_quadratically():
     prec = np.array([[2.0, 0.3], [0.3, 1.0]])
-    grad = _quad_grad(prec)
+    logp_and_grad = _quad_logp_and_grad(prec)
 
     def energy(q, p):
         return 0.5 * float(q @ prec @ q) + 0.5 * float(p @ p)
@@ -171,9 +169,10 @@ def test_leapfrog_energy_error_scales_quadratically():
     errs = []
     for eps in (0.1, 0.05, 0.025):
         q, p = q0.copy(), p0.copy()
+        g = logp_and_grad(q)[1]
         n = int(round(1.0 / eps))  # fixed integration time
         for _ in range(n):
-            q, p = leapfrog(grad, q, p, eps)
+            q, p, _, g = leapfrog(logp_and_grad, q, p, g, eps)
         errs.append(abs(energy(q, p) - energy(q0, p0)))
     # halving eps should cut the energy error by about 4
     assert errs[0] / errs[1] > 3.0
@@ -200,7 +199,7 @@ def test_backend_recovers_correlated_gaussian(backend):
 
 def test_nuts_high_efficiency_on_standard_normal():
     target = GaussianTarget(np.zeros(10), np.eye(10))
-    chain = run_nuts(target, cfg_for("nuts", n_iter=10_000, n_burn=5000, seed=5))
+    chain = run("nuts", target, cfg_for("nuts", n_iter=10_000, n_burn=5000, seed=5))
     assert chain.n_samples == 2500
     rep = diagnostics.ess_report(chain, "x")
     assert rep.mean_E >= 0.8
@@ -235,6 +234,10 @@ def test_retention_rule():
 def test_indivisible_schedule_rejected():
     with pytest.raises(ValueError):
         SamplerConfig(backend="gibbs", n_iter=11, n_burn=4, n_thin=2, seed=0)
+    with pytest.raises(ValueError):  # n_samples 6, but only 5 iterations kept
+        SamplerConfig(backend="gibbs", n_iter=10, n_burn=-2, n_thin=2, seed=0)
+    with pytest.raises(ValueError):
+        SamplerConfig(backend="gibbs", n_iter=0, n_burn=-2, n_thin=2, seed=0)
 
 
 @pytest.mark.parametrize("backend", ["rwmh", "gibbs", "nuts"])
@@ -280,7 +283,7 @@ def test_gibbs_matches_closed_form_lmc():
     ds = datagen.gen_linear(50, 3, seed=11)
     model = get_model("LM-C", ds)
     post = model.closed_form_posterior()
-    chain = run_gibbs(model, cfg_for("gibbs", n_iter=4000, n_burn=1000, seed=12))
+    chain = run("gibbs", model, cfg_for("gibbs", n_iter=4000, n_burn=1000, seed=12))
     for j in range(3):
         col = chain.col(f"beta[{j}]")
         mc_se = math.sqrt(post.beta_marginal_var[j] / diagnostics.ess(col))
@@ -292,7 +295,7 @@ def test_gibbs_matches_closed_form_lmc():
 def test_rwmh_acceptance_near_target():
     ds = datagen.gen_linear(100, 4, seed=13)
     model = get_model("LM-C", ds)
-    chain = run_rwmh(model, cfg_for("rwmh", n_iter=8000, n_burn=4000, seed=14))
+    chain = run("rwmh", model, cfg_for("rwmh", n_iter=8000, n_burn=4000, seed=14))
     acc = chain.stats["acceptance"]
     assert 0.1 < acc["beta"] < 0.45  # block target 0.234
     assert 0.25 < acc["sigma2"] < 0.65  # scalar target 0.44
@@ -300,7 +303,7 @@ def test_rwmh_acceptance_near_target():
 
 def test_nuts_reports_adaptation_stats():
     target = corr2()
-    chain = run_nuts(target, cfg_for("nuts", n_iter=1000, n_burn=500, seed=15))
+    chain = run("nuts", target, cfg_for("nuts", n_iter=1000, n_burn=500, seed=15))
     assert chain.stats["step_size"] > 0
     assert chain.stats["n_divergent"] == 0
     assert chain.stats["mean_tree_depth"] >= 1.0
