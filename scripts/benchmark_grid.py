@@ -38,9 +38,8 @@ def main():
 
     reports = []
     for setting in GRID:
-        cfg = ExperimentConfig(seed=args.seed, **setting)
-        if args.quick:
-            cfg.n_iter, cfg.n_burn = 2000, 1000
+        schedule = dict(n_iter=2000, n_burn=1000) if args.quick else {}
+        cfg = ExperimentConfig(seed=args.seed, **setting, **schedule)
         result = run_experiment(cfg)
         for backend, rep in result.items():
             reports.append(rep)

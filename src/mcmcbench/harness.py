@@ -90,11 +90,10 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if isinstance(self.backends, str):
             self.backends = tuple(s for s in self.backends.split(",") if s)
-        unknown = [b for b in self.backends if b not in BACKENDS]
-        if unknown:
-            raise ValueError(
-                f"unknown backends {unknown}; expected some of {sorted(BACKENDS)}"
-            )
+        if len(set(self.backends)) != len(self.backends):
+            raise ValueError(f"repeated backend names in {self.backends}")
+        for backend in self.backends:
+            self.sampler_config(backend)  # rejects unknown backends and bad schedules
 
     @property
     def family(self) -> str:

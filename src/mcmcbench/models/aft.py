@@ -19,7 +19,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
-from .base import ConditionalSpec, Model
+from .base import ConditionalSpec, Model, gaussian_prior, memo_logdens
 
 HYPER_DEFAULTS = {
     "AFT-NH": {"b02": 10.0, "lambda0": 1.0},
@@ -28,6 +28,18 @@ HYPER_DEFAULTS = {
 
 LOG2 = math.log(2.0)
 LOG_LOG2 = math.log(LOG2)
+
+
+def _cum_hazard(logy, eta, sigma, out=None):
+    """Cumulative hazard lam_i * y_i^(1/sigma) = log 2 * exp((log y_i - eta_i) / sigma).
+
+    The exponent is capped at 600 so that the hazard stays finite.  With
+    ``out`` the hazard is computed in that array, with the same rounding.
+    """
+    out = np.subtract(logy, eta, out)
+    np.divide(out, sigma, out)
+    np.minimum(out, 600.0, out=out)
+    return np.multiply(np.exp(out, out), LOG2, out)
 
 
 class AFTModel(Model):
@@ -50,6 +62,7 @@ class AFTModel(Model):
             blocks.append(Block("sigma", 1, ScaledLogit(h["sigma0"])))
         super().__init__(dataset, ParamSpace(blocks), h)
         self.X = dataset.X
+        self._XT = np.ascontiguousarray(dataset.X.T)  # contiguous columns of X
         self.y = dataset.y
         self.logy = np.log(dataset.y)
         self.delta = dataset.delta.astype(float)
@@ -59,13 +72,14 @@ class AFTModel(Model):
         return self.hyper["b02"] if self.prior_id == "AFT-NH" else self.hyper["M"] ** 2
 
     def log_likelihood_pointwise(self, params):
-        beta = params["beta"]
         sigma = float(np.atleast_1d(params["sigma"])[0])
         if sigma <= 0.0 or not math.isfinite(sigma):
             return np.full(self.y.size, -math.inf)
-        eta = self.X @ beta
-        # A_i = lam_i * y_i^(1/sigma) = log(2) * exp((log y_i - eta_i)/sigma)
-        A = LOG2 * np.exp(np.minimum((self.logy - eta) / sigma, 600.0))
+        eta = self.X @ params["beta"]
+        return self._loglik(eta, sigma, _cum_hazard(self.logy, eta, sigma))
+
+    def _loglik(self, eta, sigma, A):
+        """Per-observation log-likelihood given eta = X beta and the cumulative hazard A."""
         dens = (
             -math.log(sigma)
             + LOG_LOG2
@@ -80,8 +94,7 @@ class AFTModel(Model):
         beta = np.asarray(params["beta"], dtype=float)
         sigma = float(np.atleast_1d(params["sigma"])[0])
         h = self.hyper
-        var = self._beta_var()
-        lp = -0.5 * self.p * math.log(2.0 * math.pi * var) - beta @ beta / (2.0 * var)
+        lp = gaussian_prior(beta, self._beta_var())
         if sigma <= 0:
             return -math.inf
         if self.prior_id == "AFT-NH":
@@ -98,16 +111,11 @@ class AFTModel(Model):
         if sigma <= 0.0 or not math.isfinite(sigma):
             return -math.inf, np.zeros(self.dim)
         eta = self.X @ beta
-        A = LOG2 * np.exp(np.minimum((self.logy - eta) / sigma, 600.0))
-        value = float(
-            np.sum(self.log_likelihood_pointwise(params))
-            + self.log_prior(params)
-            + self.space.log_jac(u)
-        )
-        var = self._beta_var()
-        g_beta = self.X.T @ ((A - self.delta) / sigma) - beta / var
+        A = _cum_hazard(self.logy, eta, sigma)
+        value = self._log_posterior(u, params, self._loglik(eta, sigma, A).sum())
+        g_beta = self.X.T @ ((A - self.delta) / sigma) - beta / self._beta_var()
         w = (self.logy - eta) / sigma**2
-        g_sigma = float(np.sum(A * w - self.delta * (1.0 / sigma + w)))
+        g_sigma = float((A * w - self.delta * (1.0 / sigma + w)).sum())
         if self.prior_id == "AFT-NH":
             g_sigma -= h["lambda0"]
         grads = {"beta": g_beta, "sigma": g_sigma}
@@ -116,80 +124,79 @@ class AFTModel(Model):
     def initial_params(self):
         return {"beta": np.zeros(self.p), "sigma": np.array([1.0])}
 
+    def _beta_logdens(self, logy, delta, eta, j, bj, sigma, lik_bj=None):
+        """Log density of beta[j] given the rest, up to a constant, and its memo.
+
+        ``eta`` is the linear predictor at beta[j] = bj; ``logy`` and the
+        event indicators ``delta`` are the observed data, or the completed
+        data of the Gibbs scan (every time observed).  ``lik_bj`` is the
+        log-likelihood at bj if the caller knows it (see ``memo_logdens``).
+        """
+        var = self._beta_var()
+        xj, neg_delta = self._XT[j], -delta
+        e, a, s = np.empty_like(eta), np.empty_like(eta), np.empty_like(eta)
+
+        def lik(b):
+            # sum(-delta * e / sigma - A) at e = eta + (b - bj) * xj, written
+            # into e, a and s (outputs passed positionally: keywords cost more)
+            np.add(eta, np.multiply(xj, b - bj, e), e)
+            np.divide(np.multiply(neg_delta, e, s), sigma, s)
+            return float(np.add.reduce(np.subtract(s, _cum_hazard(logy, e, sigma, a), s)))
+
+        return memo_logdens(lik, lambda b: b * b / (2.0 * var), bj, lik_bj)
+
+    def _sigma_logdens(self, logy, delta, eta):
+        """Log density of sigma given beta, up to a constant; data as for beta[j]."""
+        h = self.hyper
+        n_events = float(delta.sum())
+
+        def logpdf(s):
+            if s <= 0:
+                return -math.inf
+            if self.prior_id == "AFT-NI" and s >= h["sigma0"]:
+                return -math.inf
+            A = _cum_hazard(logy, eta, s)
+            lik = float((delta * ((1.0 / s) * (logy - eta)) - A).sum())
+            lik -= n_events * math.log(s)
+            if self.prior_id == "AFT-NH":
+                lik -= h["lambda0"] * s
+            return lik
+
+        return logpdf
+
     def gibbs_scan(self, state, rng, slice_fn):
         beta = state["beta"]
         sigma = float(state["sigma"][0])
-        var = self._beta_var()
-        h = self.hyper
         n = self.y.size
         eta = self.X @ beta
         # Treat censored times as latent: draw log T_i from the Weibull tail
         # beyond y_i (A_T = A_y + Exp(1) in cumulative-hazard coordinates),
         # then update beta_j and sigma against the complete-data likelihood.
         cen = self.delta == 0.0
-        A_y = LOG2 * np.exp(np.minimum((self.logy - eta) / sigma, 600.0))
-        A_t = A_y + rng.exponential(1.0, size=n)
+        A_t = _cum_hazard(self.logy, eta, sigma) + rng.exponential(1.0, size=n)
         logy = np.where(cen, eta + sigma * np.log(A_t / LOG2), self.logy)
+        complete = np.ones(n)
+        lik = None
         for j in range(self.p):
-            xj = self.X[:, j]
             bj = beta[j]
-
-            def logpdf(b, bj=bj, xj=xj):
-                e = eta + (b - bj) * xj
-                A = LOG2 * np.exp(np.minimum((logy - e) / sigma, 600.0))
-                lik = float(np.sum(-e / sigma - A))
-                return lik - b * b / (2.0 * var)
-
+            logpdf, seen = self._beta_logdens(logy, complete, eta, j, bj, sigma, lik)
             new = slice_fn(logpdf, bj, f"beta[{j}]")
+            lik = seen.get(new)
             if new != bj:
-                eta += (new - bj) * xj
+                eta += (new - bj) * self._XT[j]
                 beta[j] = new
-
-        def logpdf_sigma(s):
-            if s <= 0:
-                return -math.inf
-            if self.prior_id == "AFT-NI" and s >= h["sigma0"]:
-                return -math.inf
-            A = LOG2 * np.exp(np.minimum((logy - eta) / s, 600.0))
-            lik = float(np.sum((1.0 / s) * (logy - eta) - A)) - n * math.log(s)
-            if self.prior_id == "AFT-NH":
-                lik -= h["lambda0"] * s
-            return lik
-
-        state["sigma"] = np.array([slice_fn(logpdf_sigma, sigma, "sigma")])
+        logpdf = self._sigma_logdens(logy, complete, eta)
+        state["sigma"] = np.array([slice_fn(logpdf, sigma, "sigma")])
 
     def full_conditional(self, block, params):
-        h = self.hyper
         beta = np.asarray(params["beta"], dtype=float)
-        sigma = float(np.atleast_1d(params["sigma"])[0])
-        var = self._beta_var()
+        eta = self.X @ beta
         if block.startswith("beta["):
             j = int(block[5:-1])
-            eta0 = self.X @ beta - beta[j] * self.X[:, j]
-            xj = self.X[:, j]
-
-            def logpdf(b):
-                e = eta0 + b * xj
-                A = LOG2 * np.exp(np.minimum((self.logy - e) / sigma, 600.0))
-                return float(np.sum(-self.delta * e / sigma - A)) - b * b / (2.0 * var)
-
-            return ConditionalSpec.generic(logpdf)
+            sigma = float(np.atleast_1d(params["sigma"])[0])
+            return ConditionalSpec.generic(
+                self._beta_logdens(self.logy, self.delta, eta, j, beta[j], sigma)[0]
+            )
         if block == "sigma":
-            eta = self.X @ beta
-            n_unc = float(self.delta.sum())
-
-            def logpdf(s):
-                if s <= 0:
-                    return -math.inf
-                if self.prior_id == "AFT-NI" and s >= h["sigma0"]:
-                    return -math.inf
-                A = LOG2 * np.exp(np.minimum((self.logy - eta) / s, 600.0))
-                lik = float(
-                    np.sum(self.delta * ((1.0 / s) * (self.logy - eta)) - A)
-                ) - n_unc * math.log(s)
-                if self.prior_id == "AFT-NH":
-                    lik -= h["lambda0"] * s
-                return lik
-
-            return ConditionalSpec.generic(logpdf)
+            return ConditionalSpec.generic(self._sigma_logdens(self.logy, self.delta, eta))
         raise KeyError(f"no conditional for block {block!r} under {self.prior_id}")

@@ -11,8 +11,10 @@ Every model exposes the same surface to the samplers:
 - ``gibbs_scan(state, rng, slice_fn)``: one systematic scan of block
   updates; conjugate blocks are drawn exactly, the rest take one slice
   step through the injected ``slice_fn``
-- ``full_conditional(block, params)``: declarative view of a block's
-  conditional (closed form distribution or generic 1-D log density)
+- ``full_conditional(block, params)``: a block's conditional as a closed
+  form distribution or a generic 1-D log density.  It is built from the
+  same private helpers that ``gibbs_scan`` draws from, so checking it
+  checks the parameters of the scan's updates.
 
 Latent-allocation models additionally carry a discrete state vector z
 handled via ``resample_latent``; their continuous conditional is
@@ -21,10 +23,13 @@ handled via ``resample_latent``; their continuous conditional is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln
 
 from ..datagen import Dataset
 from ..distributions import Distribution, UnsupportedOperationError
@@ -79,19 +84,18 @@ class Model:
 
     def log_posterior_u(self, u: np.ndarray) -> float:
         params = self.space.constrain(u)
-        lik = float(np.sum(self.log_likelihood_pointwise(params)))
-        return lik + self.log_prior(params) + self.space.log_jac(u)
+        lik = float(self.log_likelihood_pointwise(params).sum())
+        return self._log_posterior(u, params, lik)
+
+    def _log_posterior(self, u: np.ndarray, params: dict, lik: float) -> float:
+        """Log-likelihood ``lik`` plus log prior plus transform log-Jacobian."""
+        return float(lik + self.log_prior(params) + self.space.log_jac(u))
 
     def logp_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
-    def grad_log_posterior_u(self, u: np.ndarray) -> np.ndarray:
-        if not self.has_gradient:
-            raise UnsupportedOperationError(
-                f"{self.prior_id} ({'latent' if self.is_latent else 'marginal'}) "
-                "has no gradient"
-            )
-        return self.logp_and_grad(u)[1]
+        raise UnsupportedOperationError(
+            f"{self.prior_id} ({'latent' if self.is_latent else 'marginal'}) "
+            "has no gradient"
+        )
 
     # ---- sampler hooks ---------------------------------------------
 
@@ -113,3 +117,83 @@ class Model:
 
 def gaussian_loglik(y: np.ndarray, mean, sigma2: float) -> np.ndarray:
     return -0.5 * (np.log(2.0 * np.pi * sigma2) + (y - mean) ** 2 / sigma2)
+
+
+@lru_cache(maxsize=None)
+def _ig_norm(a: float, b: float) -> float:
+    """Normalizing term a log b - log Gamma(a) of InverseGamma(a, b)."""
+    return a * math.log(b) - gammaln(a)
+
+
+def ig_logpdf(x, a: float, b: float) -> float:
+    """log InverseGamma(x | a, b) summed over x; -inf unless every entry is positive.
+
+    A scalar ``x`` takes ``math.log`` and an array ``np.log``; they can differ
+    in the last bit, and each model keeps the one its draws were made with.
+    """
+    if isinstance(x, np.ndarray):
+        if (x <= 0).any():
+            return -math.inf
+        return float((_ig_norm(a, b) - b / x - (a + 1.0) * np.log(x)).sum())
+    if x <= 0:
+        return -math.inf
+    return float(_ig_norm(a, b) - b / x - (a + 1.0) * math.log(x))
+
+
+def memo_logdens(lik, penalty, b0: float, lik0: float | None = None):
+    """The 1-D log density ``lik(b) - penalty(b)``, computing ``lik`` once per b.
+
+    A slice step evaluates some points twice (bracket ends that the
+    doubling test revisits), and the log-likelihood at the value a
+    coordinate accepts is the next coordinate's log-likelihood at its
+    start.  Returns the density and its memo, a dict from b to ``lik(b)``
+    seeded with ``{b0: lik0}`` when the caller already knows ``lik0``.
+    """
+    seen = {} if lik0 is None else {b0: lik0}
+
+    def logpdf(b):
+        v = seen.get(b)
+        if v is None:
+            v = seen[b] = lik(b)
+        return v - penalty(b)
+
+    return logpdf, seen
+
+
+def gaussian_prior(beta: np.ndarray, var: float) -> float:
+    """log N(beta | 0, var I), the Gaussian prior on regression coefficients."""
+    return -0.5 * beta.size * math.log(2.0 * math.pi * var) - beta @ beta / (2.0 * var)
+
+
+@dataclass
+class LassoPrior:
+    """Bayesian lasso: beta_j | l2 ~ DoubleExponential(0, 1/sqrt(l2)), l2 ~ Exp(lambda0)."""
+
+    lambda0: float
+
+    def log_prior_terms(self, beta: np.ndarray, lam2: float) -> tuple[float, float, float]:
+        """Terms (beta | l2, log lambda0, lambda0 * l2) of the log prior at l2 > 0.
+
+        Each model adds them in its own order, which fixes its rounding.
+        """
+        root = math.sqrt(lam2)
+        lp = beta.size * (0.5 * math.log(lam2) - math.log(2.0)) - root * np.abs(beta).sum()
+        return lp, math.log(self.lambda0), self.lambda0 * lam2
+
+    def grads(self, beta: np.ndarray, lam2: float) -> tuple[np.ndarray, float]:
+        """Minus the beta-gradient of the log prior, and its l2-derivative."""
+        root = math.sqrt(lam2)
+        g_lam2 = beta.size / (2.0 * lam2) - np.abs(beta).sum() / (2.0 * root) - self.lambda0
+        return np.sign(beta) * root, g_lam2
+
+    def lambda2_logpdf(self, beta: np.ndarray) -> Callable[[float], float]:
+        """Full conditional of l2 given beta, up to a constant."""
+        p = beta.size
+        abs_sum = float(np.abs(beta).sum())
+
+        def logpdf(lam):
+            if lam <= 0:
+                return -math.inf
+            return 0.5 * p * math.log(lam) - math.sqrt(lam) * abs_sum - self.lambda0 * lam
+
+        return logpdf

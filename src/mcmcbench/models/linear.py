@@ -19,12 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import gammaln
 
 from ..datagen import Dataset
 from ..distributions import InverseGamma, MvGaussian, UnsupportedOperationError
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
-from .base import ConditionalSpec, Model, gaussian_loglik
+from .base import (
+    ConditionalSpec,
+    LassoPrior,
+    Model,
+    gaussian_loglik,
+    gaussian_prior,
+    ig_logpdf,
+)
 
 HYPER_DEFAULTS = {
     "LM-C": {"sigma02": 1.0, "eta0": 1e-4},
@@ -57,12 +63,6 @@ class ClosedFormLMPosterior:
     @property
     def beta_marginal_var(self) -> np.ndarray:
         return np.diag(self.V_n) * self.sigma2_mean
-
-
-def _ig_logpdf(x: float, a: float, b: float) -> float:
-    if x <= 0:
-        return -math.inf
-    return a * math.log(b) - gammaln(a) - b / x - (a + 1.0) * math.log(x)
 
 
 class LinearModel(Model):
@@ -99,6 +99,7 @@ class LinearModel(Model):
             self._beta_hat = self._V @ self.Xty
         if prior_id == "LM-L":
             self._col_sq = np.einsum("ij,ij->j", self.X, self.X)
+            self.lasso = LassoPrior(h["lambda0"])
 
     # ---- helpers ---------------------------------------------------
 
@@ -106,6 +107,28 @@ class LinearModel(Model):
         if "sigma2" in params:
             return float(np.atleast_1d(params["sigma2"])[0])
         return float(np.atleast_1d(params["sigma"])[0]) ** 2
+
+    def _sigma2_prior(self):
+        """Inverse-gamma (a, b) of the sigma2 prior under LM-C and LM-L."""
+        nu = self.hyper["eta0" if self.prior_id == "LM-C" else "nu0"]
+        return nu / 2.0, nu * self.hyper["sigma02"] / 2.0
+
+    def _sigma2_ab(self, beta, r):
+        """Inverse-gamma (a, b) of sigma2 | beta, y under LM-C and LM-L; r = y - X beta."""
+        h = self.hyper
+        if self.prior_id == "LM-C":
+            a = (h["eta0"] + self.n + self.p) / 2.0
+            return a, (h["eta0"] * h["sigma02"] + r @ r + beta @ beta) / 2.0
+        return (h["nu0"] + self.n) / 2.0, (h["nu0"] * h["sigma02"] + r @ r) / 2.0
+
+    def _beta_given_sigma(self, sig):
+        """LM-WI/NI: beta | sigma, y ~ N(A^-1 X'y / s2, A^-1), A = X'X / s2 + I / M^2.
+
+        Returns the lower Cholesky factor of A and the mean.
+        """
+        s2 = sig**2
+        cA = cho_factor(self.XtX / s2 + np.eye(self.p) / self.hyper["M"] ** 2, lower=True)
+        return cA, cho_solve(cA, self.Xty / s2)
 
     def _lasso_beta_logdens(self, r, j, bj, s2, root):
         """LM-L log full conditional of beta[j], up to a constant.
@@ -133,23 +156,17 @@ class LinearModel(Model):
         h = self.hyper
         if self.prior_id == "LM-C":
             s2 = self._sigma2_of(params)
-            lp = -0.5 * self.p * math.log(2.0 * math.pi * s2) - beta @ beta / (2.0 * s2)
-            return lp + _ig_logpdf(s2, h["eta0"] / 2.0, h["eta0"] * h["sigma02"] / 2.0)
-        if self.prior_id == "LM-WI":
+            lp = gaussian_prior(beta, s2)
+            return lp + ig_logpdf(s2, *self._sigma2_prior())
+        if self.prior_id in ("LM-WI", "LM-NI"):
             sig = float(np.atleast_1d(params["sigma"])[0])
-            lp = -0.5 * self.p * math.log(2.0 * math.pi * h["M"] ** 2) - beta @ beta / (
-                2.0 * h["M"] ** 2
-            )
-            if sig <= 0:
-                return -math.inf
-            return lp + math.log(2.0 * h["d0"] / math.pi) - math.log(
-                sig**2 + h["d0"] ** 2
-            )
-        if self.prior_id == "LM-NI":
-            sig = float(np.atleast_1d(params["sigma"])[0])
-            lp = -0.5 * self.p * math.log(2.0 * math.pi * h["M"] ** 2) - beta @ beta / (
-                2.0 * h["M"] ** 2
-            )
+            lp = gaussian_prior(beta, h["M"] ** 2)
+            if self.prior_id == "LM-WI":
+                if sig <= 0:
+                    return -math.inf
+                return lp + math.log(2.0 * h["d0"] / math.pi) - math.log(
+                    sig**2 + h["d0"] ** 2
+                )
             if not 0.0 < sig < h["sigma0"]:
                 return -math.inf
             return lp - math.log(h["sigma0"])
@@ -158,10 +175,9 @@ class LinearModel(Model):
         lam2 = float(np.atleast_1d(params["lambda2"])[0])
         if lam2 <= 0:
             return -math.inf
-        root = math.sqrt(lam2)
-        lp = self.p * (0.5 * math.log(lam2) - math.log(2.0)) - root * np.abs(beta).sum()
-        lp += math.log(h["lambda0"]) - h["lambda0"] * lam2
-        lp += _ig_logpdf(s2, h["nu0"] / 2.0, h["nu0"] * h["sigma02"] / 2.0)
+        lp, log_lambda0, lambda0_lam2 = self.lasso.log_prior_terms(beta, lam2)
+        lp += log_lambda0 - lambda0_lam2
+        lp += ig_logpdf(s2, *self._sigma2_prior())
         return float(lp)
 
     # ---- gradient --------------------------------------------------
@@ -172,24 +188,10 @@ class LinearModel(Model):
         h = self.hyper
         r = self.y - self.X @ beta
         rr = r @ r
-        value = float(
-            np.sum(self.log_likelihood_pointwise(params))
-            + self.log_prior(params)
-            + self.space.log_jac(u)
-        )
+        lik = self.log_likelihood_pointwise(params).sum()
+        value = self._log_posterior(u, params, lik)
         grads = {}
-        if self.prior_id == "LM-C":
-            s2 = self._sigma2_of(params)
-            a = h["eta0"] / 2.0
-            b = h["eta0"] * h["sigma02"] / 2.0
-            grads["beta"] = (self.X.T @ r - beta) / s2
-            grads["sigma2"] = (
-                -(self.n + self.p) / (2.0 * s2)
-                + (rr + beta @ beta) / (2.0 * s2**2)
-                - (a + 1.0) / s2
-                + b / s2**2
-            )
-        elif self.prior_id in ("LM-WI", "LM-NI"):
+        if self.prior_id in ("LM-WI", "LM-NI"):
             sig = float(np.atleast_1d(params["sigma"])[0])
             s2 = sig**2
             grads["beta"] = self.X.T @ r / s2 - beta / h["M"] ** 2
@@ -198,21 +200,19 @@ class LinearModel(Model):
             if self.prior_id == "LM-WI":
                 g_sig += -2.0 * sig / (s2 + h["d0"] ** 2)
             grads["sigma"] = g_sig
+            return value, self.space.grad_to_unconstrained(u, grads)
+        s2 = self._sigma2_of(params)
+        if self.prior_id == "LM-C":
+            grads["beta"] = (self.X.T @ r - beta) / s2
+            # beta | s2 ~ N(0, s2 I) adds p and |beta|^2 to the likelihood's n and |r|^2
+            m, q = self.n + self.p, rr + beta @ beta
         else:  # LM-L
-            s2 = self._sigma2_of(params)
             lam2 = float(np.atleast_1d(params["lambda2"])[0])
-            root = math.sqrt(lam2)
-            a = h["nu0"] / 2.0
-            b = h["nu0"] * h["sigma02"] / 2.0
-            grads["beta"] = self.X.T @ r / s2 - np.sign(beta) * root
-            grads["sigma2"] = (
-                -self.n / (2.0 * s2) + rr / (2.0 * s2**2) - (a + 1.0) / s2 + b / s2**2
-            )
-            grads["lambda2"] = (
-                self.p / (2.0 * lam2)
-                - np.abs(beta).sum() / (2.0 * root)
-                - h["lambda0"]
-            )
+            g_sign, grads["lambda2"] = self.lasso.grads(beta, lam2)
+            grads["beta"] = self.X.T @ r / s2 - g_sign
+            m, q = self.n, rr
+        a, b = self._sigma2_prior()
+        grads["sigma2"] = -m / (2.0 * s2) + q / (2.0 * s2**2) - (a + 1.0) / s2 + b / s2**2
         return value, self.space.grad_to_unconstrained(u, grads)
 
     # ---- sampler hooks ---------------------------------------------
@@ -229,22 +229,16 @@ class LinearModel(Model):
         return out
 
     def gibbs_scan(self, state, rng, slice_fn):
-        h = self.hyper
         if self.prior_id == "LM-C":
             s2 = float(state["sigma2"][0])
             z = rng.standard_normal(self.p)
             state["beta"] = self._beta_hat + math.sqrt(s2) * (self._Lv @ z)
-            r = self.y - self.X @ state["beta"]
-            a = (h["eta0"] + self.n + self.p) / 2.0
-            b = (h["eta0"] * h["sigma02"] + r @ r + state["beta"] @ state["beta"]) / 2.0
+            a, b = self._sigma2_ab(state["beta"], self.y - self.X @ state["beta"])
             state["sigma2"] = np.array([1.0 / rng.gamma(a, 1.0 / b)])
             return
         if self.prior_id in ("LM-WI", "LM-NI"):
             sig = float(state["sigma"][0])
-            s2 = sig**2
-            A = self.XtX / s2 + np.eye(self.p) / h["M"] ** 2
-            cA = cho_factor(A, lower=True)
-            mean = cho_solve(cA, self.Xty / s2)
+            cA, mean = self._beta_given_sigma(sig)
             z = rng.standard_normal(self.p)
             state["beta"] = mean + solve_triangular(cA[0], z, lower=True, trans="T")
             spec = self.full_conditional("sigma", state)
@@ -263,8 +257,7 @@ class LinearModel(Model):
             if new != bj:
                 r -= (new - bj) * self.X[:, j]
                 beta[j] = new
-        a = (h["nu0"] + self.n) / 2.0
-        b = (h["nu0"] * h["sigma02"] + r @ r) / 2.0
+        a, b = self._sigma2_ab(beta, r)
         state["sigma2"] = np.array([1.0 / rng.gamma(a, 1.0 / b)])
         spec = self.full_conditional("lambda2", state)
         state["lambda2"] = np.array([slice_fn(spec.logpdf, lam2, "lambda2")])
@@ -272,24 +265,17 @@ class LinearModel(Model):
     def full_conditional(self, block, params):
         h = self.hyper
         beta = np.asarray(params["beta"], dtype=float)
-        if self.prior_id == "LM-C":
+        if block == "sigma2" and self.prior_id in ("LM-C", "LM-L"):
+            a, b = self._sigma2_ab(beta, self.y - self.X @ beta)
+            return ConditionalSpec.closed_form(InverseGamma(a, b))
+        if block == "beta" and self.prior_id == "LM-C":
             s2 = float(np.atleast_1d(params["sigma2"])[0])
-            if block == "beta":
-                return ConditionalSpec.closed_form(
-                    MvGaussian(self._beta_hat, s2 * self._V)
-                )
-            if block == "sigma2":
-                r = self.y - self.X @ beta
-                a = (h["eta0"] + self.n + self.p) / 2.0
-                b = (h["eta0"] * h["sigma02"] + r @ r + beta @ beta) / 2.0
-                return ConditionalSpec.closed_form(InverseGamma(a, b))
+            return ConditionalSpec.closed_form(MvGaussian(self._beta_hat, s2 * self._V))
         if self.prior_id in ("LM-WI", "LM-NI"):
             if block == "beta":
-                sig = float(np.atleast_1d(params["sigma"])[0])
-                A = self.XtX / sig**2 + np.eye(self.p) / h["M"] ** 2
-                cov = np.linalg.inv(A)
+                cA, mean = self._beta_given_sigma(float(np.atleast_1d(params["sigma"])[0]))
                 return ConditionalSpec.closed_form(
-                    MvGaussian(cov @ (self.Xty / sig**2), cov)
+                    MvGaussian(mean, cho_solve(cA, np.eye(self.p)))
                 )
             if block == "sigma":
                 r = self.y - self.X @ beta
@@ -308,28 +294,12 @@ class LinearModel(Model):
 
                 return ConditionalSpec.generic(logpdf)
         if self.prior_id == "LM-L":
-            s2 = float(np.atleast_1d(params["sigma2"])[0])
-            lam2 = float(np.atleast_1d(params["lambda2"])[0])
-            if block == "sigma2":
-                r = self.y - self.X @ beta
-                a = (h["nu0"] + self.n) / 2.0
-                b = (h["nu0"] * h["sigma02"] + r @ r) / 2.0
-                return ConditionalSpec.closed_form(InverseGamma(a, b))
             if block == "lambda2":
-                abs_sum = float(np.abs(beta).sum())
-
-                def logpdf(lam):
-                    if lam <= 0:
-                        return -math.inf
-                    return (
-                        0.5 * self.p * math.log(lam)
-                        - math.sqrt(lam) * abs_sum
-                        - h["lambda0"] * lam
-                    )
-
-                return ConditionalSpec.generic(logpdf)
+                return ConditionalSpec.generic(self.lasso.lambda2_logpdf(beta))
             if block.startswith("beta["):
                 j = int(block[5:-1])
+                s2 = float(np.atleast_1d(params["sigma2"])[0])
+                lam2 = float(np.atleast_1d(params["lambda2"])[0])
                 r = self.y - self.X @ beta
                 return ConditionalSpec.generic(
                     self._lasso_beta_logdens(r, j, beta[j], s2, math.sqrt(lam2))

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace
-from .base import ConditionalSpec, Model
+from .base import ConditionalSpec, LassoPrior, Model, gaussian_prior, memo_logdens
 
 HYPER_DEFAULTS = {
     "LR-N": {"b02": 10.0},
@@ -41,8 +41,11 @@ class LogisticModel(Model):
             blocks.append(Block("lambda2", 1, Log()))
         super().__init__(dataset, ParamSpace(blocks), h)
         self.X = dataset.X
+        self._XT = np.ascontiguousarray(dataset.X.T)  # contiguous columns of X
         self.y = dataset.y
         self.p = p
+        if prior_id == "LR-L":
+            self.lasso = LassoPrior(h["lambda0"])
 
     def log_likelihood_pointwise(self, params):
         eta = self.X @ params["beta"]
@@ -50,43 +53,28 @@ class LogisticModel(Model):
 
     def log_prior(self, params):
         beta = np.asarray(params["beta"], dtype=float)
-        h = self.hyper
         if self.prior_id == "LR-N":
-            return float(
-                -0.5 * self.p * math.log(2.0 * math.pi * h["b02"])
-                - beta @ beta / (2.0 * h["b02"])
-            )
+            return float(gaussian_prior(beta, self.hyper["b02"]))
         lam2 = float(np.atleast_1d(params["lambda2"])[0])
         if lam2 <= 0:
             return -math.inf
-        root = math.sqrt(lam2)
-        lp = self.p * (0.5 * math.log(lam2) - math.log(2.0)) - root * np.abs(beta).sum()
-        return float(lp + math.log(h["lambda0"]) - h["lambda0"] * lam2)
+        lp, log_lambda0, lambda0_lam2 = self.lasso.log_prior_terms(beta, lam2)
+        return float(lp + log_lambda0 - lambda0_lam2)
 
     def logp_and_grad(self, u):
         params = self.space.constrain(u)
         beta = params["beta"]
-        h = self.hyper
         eta = self.X @ beta
         prob = 1.0 / (1.0 + np.exp(-eta))
-        value = float(
-            np.sum(self.y * eta - _log1p_exp(eta))
-            + self.log_prior(params)
-            + self.space.log_jac(u)
-        )
+        value = self._log_posterior(u, params, (self.y * eta - _log1p_exp(eta)).sum())
         grads = {}
         g_beta = self.X.T @ (self.y - prob)
         if self.prior_id == "LR-N":
-            grads["beta"] = g_beta - beta / h["b02"]
+            grads["beta"] = g_beta - beta / self.hyper["b02"]
         else:
             lam2 = float(np.atleast_1d(params["lambda2"])[0])
-            root = math.sqrt(lam2)
-            grads["beta"] = g_beta - np.sign(beta) * root
-            grads["lambda2"] = (
-                self.p / (2.0 * lam2)
-                - np.abs(beta).sum() / (2.0 * root)
-                - h["lambda0"]
-            )
+            g_sign, grads["lambda2"] = self.lasso.grads(beta, lam2)
+            grads["beta"] = g_beta - g_sign
         return value, self.space.grad_to_unconstrained(u, grads)
 
     def initial_params(self):
@@ -95,23 +83,29 @@ class LogisticModel(Model):
             out["lambda2"] = np.array([1.0])
         return out
 
-    def _beta_logdens(self, eta, j, bj, root):
-        """Log full conditional of beta[j], up to a constant.
+    def _beta_logdens(self, eta, j, bj, root, lik_bj=None):
+        """Log full conditional of beta[j], up to a constant, and its memo.
 
         ``eta`` is the linear predictor at beta[j] = bj; ``root`` is
-        sqrt(lambda2) under LR-L and unused under LR-N.
+        sqrt(lambda2) under LR-L and unused under LR-N; ``lik_bj`` is the
+        log-likelihood at bj if the caller knows it (see ``memo_logdens``).
         """
-        h = self.hyper
-        xj = self.X[:, j]
+        xj, y = self._XT[j], self.y
+        e, t, s = np.empty_like(eta), np.empty_like(eta), np.empty_like(eta)
 
-        def logpdf(b):
-            e = eta + (b - bj) * xj
-            lik = float(np.sum(self.y * e - _log1p_exp(e)))
-            if self.prior_id == "LR-N":
-                return lik - b * b / (2.0 * h["b02"])
-            return lik - abs(b) * root
+        def lik(b):
+            # sum(y * e - _log1p_exp(e)) at e = eta + (b - bj) * xj, written into
+            # e, t and s (outputs passed positionally: keywords cost more)
+            np.add(eta, np.multiply(xj, b - bj, e), e)
+            np.copysign(e, -1.0, t)  # -|e|
+            np.log1p(np.exp(t, t), t)
+            np.add(np.maximum(e, 0.0, out=s), t, t)
+            return float(np.add.reduce(np.subtract(np.multiply(y, e, s), t, s)))
 
-        return logpdf
+        if self.prior_id == "LR-N":
+            b02 = self.hyper["b02"]
+            return memo_logdens(lik, lambda b: b * b / (2.0 * b02), bj, lik_bj)
+        return memo_logdens(lik, lambda b: abs(b) * root, bj, lik_bj)
 
     def gibbs_scan(self, state, rng, slice_fn):
         beta = state["beta"]
@@ -121,18 +115,20 @@ class LogisticModel(Model):
             root = math.sqrt(lam2)
         else:
             root = None
+        lik = None
         for j in range(self.p):
             bj = beta[j]
-            new = slice_fn(self._beta_logdens(eta, j, bj, root), bj, f"beta[{j}]")
+            logpdf, seen = self._beta_logdens(eta, j, bj, root, lik)
+            new = slice_fn(logpdf, bj, f"beta[{j}]")
+            lik = seen.get(new)
             if new != bj:
-                eta += (new - bj) * self.X[:, j]
+                eta += (new - bj) * self._XT[j]
                 beta[j] = new
         if self.prior_id == "LR-L":
             spec = self.full_conditional("lambda2", state)
             state["lambda2"] = np.array([slice_fn(spec.logpdf, lam2, "lambda2")])
 
     def full_conditional(self, block, params):
-        h = self.hyper
         beta = np.asarray(params["beta"], dtype=float)
         if block.startswith("beta["):
             j = int(block[5:-1])
@@ -140,19 +136,8 @@ class LogisticModel(Model):
             if self.prior_id == "LR-L":
                 root = math.sqrt(float(np.atleast_1d(params["lambda2"])[0]))
             return ConditionalSpec.generic(
-                self._beta_logdens(self.X @ beta, j, beta[j], root)
+                self._beta_logdens(self.X @ beta, j, beta[j], root)[0]
             )
         if block == "lambda2" and self.prior_id == "LR-L":
-            abs_sum = float(np.abs(beta).sum())
-
-            def logpdf(lam):
-                if lam <= 0:
-                    return -math.inf
-                return (
-                    0.5 * self.p * math.log(lam)
-                    - math.sqrt(lam) * abs_sum
-                    - h["lambda0"] * lam
-                )
-
-            return ConditionalSpec.generic(logpdf)
+            return ConditionalSpec.generic(self.lasso.lambda2_logpdf(beta))
         raise KeyError(f"no conditional for block {block!r} under {self.prior_id}")

@@ -23,16 +23,9 @@ from scipy.special import gammaln
 from ..datagen import Dataset
 from ..distributions import Categorical, Dirichlet, Gaussian, InverseGamma
 from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax
-from .base import ConditionalSpec, Model
+from .base import ConditionalSpec, Model, ig_logpdf
 
 HYPER_DEFAULTS = {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
-
-
-def _ig_logpdf(x, a, b):
-    if np.any(np.asarray(x) <= 0):
-        return -math.inf
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(a * math.log(b) - gammaln(a) - b / x - (a + 1.0) * np.log(x)))
 
 
 def _sum_over_obs(a: np.ndarray) -> np.ndarray:
@@ -47,7 +40,8 @@ def _sum_over_obs(a: np.ndarray) -> np.ndarray:
 def _logsumexp_components(a: np.ndarray) -> np.ndarray:
     """Per-observation log-sum-exp over the components of an (H, n) matrix."""
     m = a.max(axis=0)
-    return m + np.log(np.exp(a - m).sum(axis=0))
+    t = a - m
+    return m + np.log(np.exp(t, t).sum(axis=0))
 
 
 class MixtureModel(Model):
@@ -76,6 +70,7 @@ class MixtureModel(Model):
         ]
         super().__init__(dataset, ParamSpace(blocks), h)
         self.y = dataset.y
+        self._log_dirichlet_norm = gammaln(float(self.H))  # Dirichlet(1,...,1): (H-1)!
 
     @property
     def is_latent(self):
@@ -93,10 +88,17 @@ class MixtureModel(Model):
         Components run along the first axis so that every elementwise and
         per-observation operation works on contiguous rows of length n.
         """
-        mu = params["mu"]
-        s = params["sigma2"]
+        comp, d, _ = self._component_terms(params["mu"], params["sigma2"])
+        return comp, d
+
+    def _component_terms(self, mu, s):
+        """``_component_logpdf``'s matrix and residuals, plus the squared residuals."""
         d = self.y - mu[:, None]
-        return -0.5 * (np.log(2.0 * math.pi * s)[:, None] + d * d / s[:, None]), d
+        dd = d * d
+        comp = dd / s[:, None]
+        comp += np.log(2.0 * math.pi * s)[:, None]
+        comp *= -0.5
+        return comp, d, dd
 
     def log_likelihood_pointwise(self, params):
         # marginal likelihood regardless of parameterization; the latent
@@ -107,20 +109,19 @@ class MixtureModel(Model):
     def log_joint_given_z(self, params, z: np.ndarray) -> float:
         comp, _ = self._component_logpdf(params)
         idx = np.arange(self.n)
-        return float(np.sum(comp[z, idx]) + np.sum(np.log(params["p"])[z]))
+        return float(comp[z, idx].sum() + np.log(params["p"])[z].sum())
 
     def log_prior(self, params):
         h = self.hyper
         mu = params["mu"]
-        v2 = float(np.atleast_1d(params["v2"])[0])
+        v2s = np.atleast_1d(params["v2"])
+        v2 = float(v2s[0])
         if v2 <= 0:
             return -math.inf
-        lp = float(
-            np.sum(-0.5 * math.log(2.0 * math.pi * v2) - mu * mu / (2.0 * v2))
-        )
-        lp += _ig_logpdf(v2, h["a0"], h["b0"])
-        lp += _ig_logpdf(params["sigma2"], h["c0"], h["d0"])
-        lp += gammaln(float(self.H))  # Dirichlet(1,...,1) normalizer: (H-1)!
+        lp = float((-0.5 * math.log(2.0 * math.pi * v2) - mu * mu / (2.0 * v2)).sum())
+        lp += ig_logpdf(v2s, h["a0"], h["b0"])
+        lp += ig_logpdf(np.asarray(params["sigma2"], dtype=float), h["c0"], h["d0"])
+        lp += self._log_dirichlet_norm
         return lp
 
     def log_posterior_u(self, u, z: np.ndarray | None = None):
@@ -130,8 +131,8 @@ class MixtureModel(Model):
                 raise ValueError("latent parameterization needs z")
             lik = self.log_joint_given_z(params, z)
         else:
-            lik = float(np.sum(self.log_likelihood_pointwise(params)))
-        return lik + self.log_prior(params) + self.space.log_jac(u)
+            lik = float(self.log_likelihood_pointwise(params).sum())
+        return self._log_posterior(u, params, lik)
 
     # ---- gradient (marginal only) ----------------------------------
 
@@ -141,20 +142,21 @@ class MixtureModel(Model):
         params = self.space.constrain(u)
         h = self.hyper
         mu, s, p = params["mu"], params["sigma2"], params["p"]
-        v2 = float(np.atleast_1d(params["v2"])[0])
-        comp, d = self._component_logpdf(params)
+        v2 = float(params["v2"][0])
+        comp, d, dd = self._component_terms(mu, s)
         comp += np.log(p)[:, None]
         mix = _logsumexp_components(comp)
-        W = np.exp(comp - mix)  # responsibilities, columns sum to 1
-        value = float(np.sum(mix)) + self.log_prior(params) + self.space.log_jac(u)
-        g_mu = _sum_over_obs(W * d) / s - mu / v2
-        g_s = (
-            _sum_over_obs(W * (-0.5 / s[:, None] + d * d / (2.0 * s[:, None] ** 2)))
-            - (h["c0"] + 1.0) / s
-            + h["d0"] / s**2
-        )
+        comp -= mix
+        W = np.exp(comp, comp)  # responsibilities, columns sum to 1
+        value = self._log_posterior(u, params, float(mix.sum()))
+        d *= W
+        g_mu = _sum_over_obs(d) / s - mu / v2
+        dd /= (2.0 * s**2)[:, None]
+        dd += (-0.5 / s)[:, None]
+        dd *= W
+        g_s = _sum_over_obs(dd) - (h["c0"] + 1.0) / s + h["d0"] / s**2
         g_v2 = (
-            np.sum(-0.5 / v2 + mu * mu / (2.0 * v2**2))
+            (-0.5 / v2 + mu * mu / (2.0 * v2**2)).sum()
             - (h["a0"] + 1.0) / v2
             + h["b0"] / v2**2
         )
@@ -176,75 +178,80 @@ class MixtureModel(Model):
     def initial_z(self, params) -> np.ndarray:
         return np.argmin(np.abs(self.y[:, None] - params["mu"][None, :]), axis=1)
 
-    def resample_latent(self, params, rng) -> np.ndarray:
+    def _allocation_probs(self, params) -> np.ndarray:
+        """(H, n) matrix of P(z_i = h | y_i, params); each column sums to 1."""
         comp, _ = self._component_logpdf(params)
         logw = comp + np.log(params["p"])[:, None]
         logw -= logw.max(axis=0)
         w = np.exp(logw)
         w /= w.sum(axis=0)
-        cum = np.cumsum(w, axis=0)
+        return w
+
+    def resample_latent(self, params, rng) -> np.ndarray:
+        cum = np.cumsum(self._allocation_probs(params), axis=0)
         u = rng.random(self.n)
         return (u > cum).sum(axis=0).clip(0, self.H - 1)
 
-    def gibbs_scan(self, state, rng, slice_fn):
-        h = self.hyper
-        z = self.resample_latent(state, rng)
-        state["z"] = z
-        mu = state["mu"]
-        s = state["sigma2"]
-        v2 = float(state["v2"][0])
-        counts = np.bincount(z, minlength=self.H).astype(float)
+    # conjugate blocks given z: gibbs_scan draws from these, full_conditional reports them
+
+    def _mu_given(self, z, counts, s, v2):
+        """(mean, precision) of mu_h | z, sigma2, v2, y, per component."""
         ysum = np.bincount(z, weights=self.y, minlength=self.H)
         prec = counts / s + 1.0 / v2
-        mean = (ysum / s) / prec
+        return (ysum / s) / prec, prec
+
+    def _sigma2_given(self, z, counts, mu):
+        """Inverse-gamma (a, b) of s_h | z, mu, y, per component."""
+        h = self.hyper
+        sq = np.bincount(z, weights=(self.y - mu[z]) ** 2, minlength=self.H)
+        return h["c0"] + counts / 2.0, h["d0"] + sq / 2.0
+
+    def _v2_given(self, mu):
+        """Inverse-gamma (a, b) of v2 | mu."""
+        h = self.hyper
+        return h["a0"] + self.H / 2.0, h["b0"] + float(mu @ mu) / 2.0
+
+    def _p_given(self, counts):
+        """Dirichlet concentration of the weights given z."""
+        return 1.0 + counts
+
+    def gibbs_scan(self, state, rng, slice_fn):
+        z = self.resample_latent(state, rng)
+        state["z"] = z
+        counts = np.bincount(z, minlength=self.H).astype(float)
+        mean, prec = self._mu_given(z, counts, state["sigma2"], float(state["v2"][0]))
         mu = mean + rng.standard_normal(self.H) / np.sqrt(prec)
         state["mu"] = mu
-        sq = np.bincount(z, weights=(self.y - mu[z]) ** 2, minlength=self.H)
-        a = h["c0"] + counts / 2.0
-        b = h["d0"] + sq / 2.0
+        a, b = self._sigma2_given(z, counts, mu)
         state["sigma2"] = 1.0 / rng.gamma(a, 1.0 / b)
-        av = h["a0"] + self.H / 2.0
-        bv = h["b0"] + float(mu @ mu) / 2.0
+        av, bv = self._v2_given(mu)
         state["v2"] = np.array([1.0 / rng.gamma(av, 1.0 / bv)])
-        g = rng.gamma(1.0 + counts, 1.0)
+        g = rng.gamma(self._p_given(counts), 1.0)
         state["p"] = g / g.sum()
 
     def full_conditional(self, block, params):
-        h = self.hyper
-        mu = np.asarray(params["mu"], dtype=float)
-        s = np.asarray(params["sigma2"], dtype=float)
-        v2 = float(np.atleast_1d(params["v2"])[0])
         if block.startswith("z["):
             i = int(block[2:-1])
-            logw = (
-                -0.5 * (np.log(2.0 * math.pi * s) + (self.y[i] - mu) ** 2 / s)
-                + np.log(params["p"])
-            )
-            w = np.exp(logw - logw.max())
-            return ConditionalSpec.closed_form(Categorical(w / w.sum()))
+            w = self._allocation_probs(params)[:, i]
+            return ConditionalSpec.closed_form(Categorical(w))
         z = params.get("z")
         if z is None:
             raise KeyError("conditionals for continuous blocks need z in params")
+        mu = np.asarray(params["mu"], dtype=float)
+        s = np.asarray(params["sigma2"], dtype=float)
         counts = np.bincount(z, minlength=self.H).astype(float)
         if block.startswith("mu["):
             k = int(block[3:-1])
-            ysum = float(np.sum(self.y[z == k]))
-            prec = counts[k] / s[k] + 1.0 / v2
-            return ConditionalSpec.closed_form(
-                Gaussian((ysum / s[k]) / prec, 1.0 / prec)
-            )
+            mean, prec = self._mu_given(z, counts, s, float(np.atleast_1d(params["v2"])[0]))
+            return ConditionalSpec.closed_form(Gaussian(mean[k], 1.0 / prec[k]))
         if block.startswith("sigma2["):
             k = int(block[7:-1])
-            sq = float(np.sum((self.y[z == k] - mu[k]) ** 2))
-            return ConditionalSpec.closed_form(
-                InverseGamma(h["c0"] + counts[k] / 2.0, h["d0"] + sq / 2.0)
-            )
+            a, b = self._sigma2_given(z, counts, mu)
+            return ConditionalSpec.closed_form(InverseGamma(a[k], b[k]))
         if block == "v2":
-            return ConditionalSpec.closed_form(
-                InverseGamma(h["a0"] + self.H / 2.0, h["b0"] + float(mu @ mu) / 2.0)
-            )
+            return ConditionalSpec.closed_form(InverseGamma(*self._v2_given(mu)))
         if block == "p":
-            return ConditionalSpec.closed_form(Dirichlet(1.0 + counts))
+            return ConditionalSpec.closed_form(Dirichlet(self._p_given(counts)))
         raise KeyError(f"no conditional for block {block!r}")
 
 

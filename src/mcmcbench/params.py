@@ -68,7 +68,7 @@ class Log(Transform):
         return np.log(np.asarray(x, dtype=float))
 
     def log_jac(self, u):
-        return float(np.sum(u))
+        return float(u.sum())
 
     def grad_to_unconstrained(self, u, grad_x):
         return grad_x * np.exp(u) + 1.0
@@ -106,24 +106,38 @@ class PinnedSoftmax(Transform):
         if n_weights < 2:
             raise ValueError("need at least two weights")
         self.n_weights = int(n_weights)
+        self._last = (b"", None)  # (u bytes, weights) of the latest constrain
 
     def constrained_size(self, size):
         assert size == self.n_weights - 1
         return self.n_weights
 
     def constrain(self, u):
-        q = np.concatenate([u, [0.0]])
-        q = q - q.max()
+        """Weights at u, read-only.
+
+        One posterior evaluation asks for the same weights three times (for
+        the value, the log-Jacobian and the gradient), so the latest result
+        is kept and handed out again for the same u.
+        """
+        u = np.asarray(u, dtype=float)
+        key = u.tobytes()
+        if key == self._last[0]:
+            return self._last[1]
+        q = np.zeros(self.n_weights)
+        q[:-1] = u
+        q -= q.max()
         e = np.exp(q)
-        return e / e.sum()
+        w = e / e.sum()
+        w.flags.writeable = False
+        self._last = (key, w)
+        return w
 
     def unconstrain(self, x):
         x = np.asarray(x, dtype=float)
         return np.log(x[:-1]) - math.log(x[-1])
 
     def log_jac(self, u):
-        p = self.constrain(u)
-        return float(np.sum(np.log(p)))
+        return float(np.log(self.constrain(u)).sum())
 
     def grad_to_unconstrained(self, u, grad_x):
         # grad_x has length H; J_{hk} = p_h (delta_hk - p_k) for k < H.
@@ -156,6 +170,8 @@ class ParamSpace:
         for b in self.blocks:
             self._slices[b.name] = slice(offset, offset + b.size)
             offset += b.size
+        # (name, transform, slice) per block, for the per-evaluation loops
+        self._parts = [(b.name, b.transform, self._slices[b.name]) for b in self.blocks]
 
     def block(self, name: str) -> Block:
         for b in self.blocks:
@@ -179,10 +195,7 @@ class ParamSpace:
 
     def constrain(self, u: np.ndarray) -> dict:
         """Split u into blocks and map each to its constrained scale."""
-        out = {}
-        for b in self.blocks:
-            out[b.name] = b.transform.constrain(u[self._slices[b.name]])
-        return out
+        return {name: t.constrain(u[sl]) for name, t, sl in self._parts}
 
     def unconstrain(self, params: dict) -> np.ndarray:
         u = np.empty(self.dim)
@@ -193,9 +206,10 @@ class ParamSpace:
         return u
 
     def log_jac(self, u: np.ndarray) -> float:
-        return sum(
-            b.transform.log_jac(u[self._slices[b.name]]) for b in self.blocks
-        )
+        total = 0
+        for _, t, sl in self._parts:
+            total += t.log_jac(u[sl])
+        return total
 
     def flatten_constrained(self, params: dict) -> np.ndarray:
         return np.concatenate(
@@ -215,8 +229,8 @@ class ParamSpace:
     def grad_to_unconstrained(self, u: np.ndarray, grads: dict) -> np.ndarray:
         """Assemble the unconstrained gradient from per-block constrained grads."""
         g = np.empty(self.dim)
-        for b in self.blocks:
-            g[self._slices[b.name]] = b.transform.grad_to_unconstrained(
-                u[self._slices[b.name]], np.atleast_1d(np.asarray(grads[b.name], dtype=float))
+        for name, t, sl in self._parts:
+            g[sl] = t.grad_to_unconstrained(
+                u[sl], np.atleast_1d(np.asarray(grads[name], dtype=float))
             )
         return g

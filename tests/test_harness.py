@@ -32,6 +32,12 @@ def test_config_validation():
         ExperimentConfig(prior="LM-C", repeats=0)
     with pytest.raises(ValueError):
         ExperimentConfig(prior="LM-C", backends="gibbs,stan")
+    with pytest.raises(ValueError):
+        ExperimentConfig(prior="LM-C", backends="gibbs,gibbs")
+    with pytest.raises(ValueError):
+        ExperimentConfig(prior="LM-C", n_iter=500)
+    with pytest.raises(ValueError):
+        ExperimentConfig(prior="LM-C", n_iter=300, n_burn=100, n_thin=3)
 
 
 def test_schedule_defaults():

@@ -97,7 +97,7 @@ def test_latent_mixture_has_no_gradient():
     model = get_model("MM", ds, H=2, parameterization="latent")
     assert not model.has_gradient
     with pytest.raises(di.UnsupportedOperationError):
-        model.grad_log_posterior_u(model.initial_u())
+        model.logp_and_grad(model.initial_u())
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +292,140 @@ def test_mm_latent_z_conditional_enumeration():
         ]
     )
     np.testing.assert_allclose(spec.dist.p, w / w.sum(), atol=1e-12)
+
+
+def _mm_state():
+    ds = datagen.gen_mixture(30, 4, seed=21)
+    hyper = {"a0": 2.0, "b0": 0.5, "c0": 3.0, "d0": 1.5}
+    model = get_model("MM", ds, H=4, parameterization="latent", hyper=hyper)
+    params = {
+        "mu": np.array([-1.0, 0.5, 2.0, 3.5]),
+        "sigma2": np.array([0.7, 1.3, 2.0, 0.4]),
+        "v2": np.array([1.5]),
+        "p": np.array([0.2, 0.3, 0.4, 0.1]),
+        "z": np.arange(30) % 4,
+    }
+    return model, params
+
+
+def _mm_mu():
+    model, prm = _mm_state()
+    got, want = [], []
+    for k in range(4):
+        yk = model.y[prm["z"] == k]
+        s = prm["sigma2"][k]
+        prec = yk.size / s + 1.0 / prm["v2"][0]
+        dist = model.full_conditional(f"mu[{k}]", prm).dist
+        got += [dist.mu, dist.sigma2]
+        want += [math.fsum(yk) / s / prec, 1.0 / prec]
+    return got, want
+
+
+def _mm_sigma2():
+    model, prm = _mm_state()
+    h = model.hyper
+    got, want = [], []
+    for k in range(4):
+        yk = model.y[prm["z"] == k]
+        dist = model.full_conditional(f"sigma2[{k}]", prm).dist
+        got += [dist.alpha, dist.beta]
+        want += [h["c0"] + yk.size / 2.0, h["d0"] + math.fsum((yk - prm["mu"][k]) ** 2) / 2.0]
+    return got, want
+
+
+def _mm_v2():
+    model, prm = _mm_state()
+    h = model.hyper
+    dist = model.full_conditional("v2", prm).dist
+    return [dist.alpha, dist.beta], [h["a0"] + 2.0, h["b0"] + math.fsum(prm["mu"] ** 2) / 2.0]
+
+
+def _mm_p():
+    model, prm = _mm_state()
+    counts = [np.sum(prm["z"] == k) for k in range(4)]
+    return model.full_conditional("p", prm).dist.alpha, [1.0 + c for c in counts]
+
+
+def _lm_l_state():
+    ds = datagen.gen_linear(40, 3, seed=22)
+    params = {
+        "beta": np.array([0.4, -1.2, 0.0]),
+        "sigma2": np.array([1.7]),
+        "lambda2": np.array([0.8]),
+    }
+    return get_model("LM-L", ds, hyper={"nu0": 3.0, "sigma02": 2.5, "lambda0": 0.4}), params
+
+
+def _lasso_lambda2_differences(model, params):
+    """logpdf(l) - logpdf(1) of the lambda2 conditional, and the same from the prior.
+
+    The reference is log prod_j DoubleExponential(beta_j | 0, 1/sqrt(l)) plus
+    log Exponential(l | lambda0), the l-dependent part of the joint density.
+    """
+    beta = params["beta"]
+
+    def reference(lam):
+        lp = sum(di.DoubleExponential(0.0, 1.0 / math.sqrt(lam)).log_density(b) for b in beta)
+        return lp + di.Exponential(model.hyper["lambda0"]).log_density(lam)
+
+    logpdf = model.full_conditional("lambda2", params).logpdf
+    lams = (0.05, 0.5, 3.0, 20.0)
+    return (
+        [logpdf(lam) - logpdf(1.0) for lam in lams],
+        [reference(lam) - reference(1.0) for lam in lams],
+    )
+
+
+def _lm_l_sigma2():
+    model, prm = _lm_l_state()
+    h = model.hyper
+    r = model.y - model.X @ prm["beta"]
+    dist = model.full_conditional("sigma2", prm).dist
+    want_b = (h["nu0"] * h["sigma02"] + math.fsum(r * r)) / 2.0
+    return [dist.alpha, dist.beta], [(h["nu0"] + 40) / 2.0, want_b]
+
+
+def _lm_l_lambda2():
+    return _lasso_lambda2_differences(*_lm_l_state())
+
+
+def _lr_l_lambda2():
+    ds = datagen.gen_logistic(40, 3, seed=23)
+    params = {"beta": np.array([0.9, 0.0, -0.3]), "lambda2": np.array([2.0])}
+    return _lasso_lambda2_differences(get_model("LR-L", ds), params)
+
+
+def _lm_wi_beta():
+    ds = datagen.gen_linear(40, 3, seed=24)
+    model = get_model("LM-WI", ds)
+    sig = 1.3
+    precision = ds.X.T @ ds.X / sig**2 + np.eye(3) / model.hyper["M"] ** 2
+    cov = np.linalg.inv(precision)
+    dist = model.full_conditional("beta", {"beta": np.zeros(3), "sigma": np.array([sig])}).dist
+    scale = np.abs(cov).max()
+    got = np.concatenate([dist.mean, dist.cov.ravel() / scale])
+    want = np.concatenate([cov @ (ds.X.T @ ds.y) / sig**2, cov.ravel() / scale])
+    return got, want
+
+
+CONDITIONAL_CASES = {
+    "MM-mu": _mm_mu,
+    "MM-sigma2": _mm_sigma2,
+    "MM-v2": _mm_v2,
+    "MM-p": _mm_p,
+    "LM-L-sigma2": _lm_l_sigma2,
+    "LM-L-lambda2": _lm_l_lambda2,
+    "LR-L-lambda2": _lr_l_lambda2,
+    "LM-WI-beta": _lm_wi_beta,
+}
+
+
+@pytest.mark.parametrize("case", list(CONDITIONAL_CASES))
+def test_conditional_parameters_match_algebra(case):
+    # the parameters full_conditional reports are the ones gibbs_scan draws from
+    got, want = CONDITIONAL_CASES[case]()
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
