@@ -12,6 +12,7 @@ Usage:
 import argparse
 
 from mcmcbench.harness import ExperimentConfig, repeated_datasets
+from mcmcbench.samplers import BACKENDS
 
 
 def main():
@@ -23,7 +24,7 @@ def main():
     ap.add_argument("--k", type=float, default=0.5)
     ap.add_argument("--repeats", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--backends", default="gibbs,nuts,rwmh")
+    ap.add_argument("--backends", default=",".join(BACKENDS))
     ap.add_argument("--out", default="results/sweep")
     args = ap.parse_args()
 
@@ -35,7 +36,7 @@ def main():
         k=args.k,
         repeats=args.repeats,
         seed=args.seed,
-        backends=tuple(args.backends.split(",")),
+        backends=args.backends,
         out=args.out,
     )
     result = repeated_datasets(cfg)

@@ -79,9 +79,6 @@ class EssReport:
     n_samples: int
     raw_E: np.ndarray = field(default=None, repr=False)  # pre-clamp values
 
-    def as_dict(self):
-        return {name: float(e) for name, e in zip(self.names, self.per_param_E)}
-
 
 def ess_report(chain, subset=None):
     """Efficiency E_j = ess_j / N_s for a selected parameter subset.
@@ -232,11 +229,3 @@ class FitReport:
     kl: float = None
     error: float = None
     ci: dict = None
-
-    def as_dict(self):
-        out = {}
-        for key in ("lpml", "waic", "kl", "error"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = float(val)
-        return out

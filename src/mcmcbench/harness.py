@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, diagnostics
-from .models import FAMILY_OF, get_model
+from .models import FAMILY_OF, HYPER_DEFAULTS, get_model
+from .models.base import merge_hyper
 from .models.mixture import predictive_density
 from .samplers import BACKENDS, SamplerConfig, chain_rng
 from .samplers import run as run_backend_sampler
@@ -90,10 +91,13 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if isinstance(self.backends, str):
             self.backends = tuple(s for s in self.backends.split(",") if s)
+        if not self.backends:
+            raise ValueError("need at least one backend")
         if len(set(self.backends)) != len(self.backends):
             raise ValueError(f"repeated backend names in {self.backends}")
         for backend in self.backends:
             self.sampler_config(backend)  # rejects unknown backends and bad schedules
+        merge_hyper(HYPER_DEFAULTS[self.prior], self.hyper)  # rejects unknown keys
 
     @property
     def family(self) -> str:

@@ -7,23 +7,12 @@ Models are selected by the string tags "LM-C", "LM-WI", "LM-NI",
 from __future__ import annotations
 
 from ..datagen import Dataset
+from . import aft, linear, logistic, mixture
 from .aft import AFTModel
 from .base import ConditionalSpec, Model
 from .linear import ClosedFormLMPosterior, LinearModel
 from .logistic import LogisticModel
 from .mixture import MixtureModel, predictive_density
-
-PRIOR_TAGS = (
-    "LM-C",
-    "LM-WI",
-    "LM-NI",
-    "LM-L",
-    "LR-N",
-    "LR-L",
-    "MM",
-    "AFT-NH",
-    "AFT-NI",
-)
 
 FAMILY_OF = {
     "LM-C": "LM",
@@ -35,6 +24,15 @@ FAMILY_OF = {
     "MM": "MM",
     "AFT-NH": "AFT",
     "AFT-NI": "AFT",
+}
+PRIOR_TAGS = tuple(FAMILY_OF)
+
+# Default hyperparameters per prior tag; ``hyper`` may override only these.
+HYPER_DEFAULTS = {
+    **linear.HYPER_DEFAULTS,
+    **logistic.HYPER_DEFAULTS,
+    "MM": mixture.HYPER_DEFAULTS,
+    **aft.HYPER_DEFAULTS,
 }
 
 
@@ -65,6 +63,7 @@ __all__ = [
     "ClosedFormLMPosterior",
     "ConditionalSpec",
     "FAMILY_OF",
+    "HYPER_DEFAULTS",
     "LinearModel",
     "LogisticModel",
     "MixtureModel",

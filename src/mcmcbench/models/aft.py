@@ -19,7 +19,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
-from .base import ConditionalSpec, Model, gaussian_prior, memo_logdens
+from .base import ConditionalSpec, Model, gaussian_prior, memo_logdens, merge_hyper
 
 HYPER_DEFAULTS = {
     "AFT-NH": {"b02": 10.0, "lambda0": 1.0},
@@ -51,9 +51,7 @@ class AFTModel(Model):
         if dataset.delta is None:
             raise ValueError("AFT model needs censoring indicators")
         self.prior_id = prior_id
-        h = dict(HYPER_DEFAULTS[prior_id])
-        if hyper:
-            h.update(hyper)
+        h = merge_hyper(HYPER_DEFAULTS[prior_id], hyper)
         p = dataset.X.shape[1]
         blocks = [Block("beta", p, Identity())]
         if prior_id == "AFT-NH":

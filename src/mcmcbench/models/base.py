@@ -111,8 +111,20 @@ class Model:
     def full_conditional(self, block: str, params: dict) -> ConditionalSpec:
         raise NotImplementedError
 
-    def rw_block_names(self) -> list[str]:
-        return [b.name for b in self.space.blocks]
+
+def merge_hyper(defaults: dict, hyper: dict | None) -> dict:
+    """The hyperparameters ``defaults`` with the overrides in ``hyper``.
+
+    Raises ``ValueError`` on an override that names no default, so that a
+    misspelt key fails instead of leaving the default in place.
+    """
+    hyper = hyper or {}
+    unknown = sorted(set(hyper) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"unknown hyperparameters {unknown}; expected some of {sorted(defaults)}"
+        )
+    return {**defaults, **hyper}
 
 
 def gaussian_loglik(y: np.ndarray, mean, sigma2: float) -> np.ndarray:

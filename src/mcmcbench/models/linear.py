@@ -30,6 +30,7 @@ from .base import (
     gaussian_loglik,
     gaussian_prior,
     ig_logpdf,
+    merge_hyper,
 )
 
 HYPER_DEFAULTS = {
@@ -72,9 +73,7 @@ class LinearModel(Model):
         if prior_id not in HYPER_DEFAULTS:
             raise ValueError(f"unknown linear-model prior {prior_id!r}")
         self.prior_id = prior_id
-        h = dict(HYPER_DEFAULTS[prior_id])
-        if hyper:
-            h.update(hyper)
+        h = merge_hyper(HYPER_DEFAULTS[prior_id], hyper)
         p = dataset.X.shape[1]
         blocks = [Block("beta", p, Identity())]
         if prior_id in ("LM-C", "LM-L"):

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace
-from .base import ConditionalSpec, LassoPrior, Model, gaussian_prior, memo_logdens
+from .base import ConditionalSpec, LassoPrior, Model, gaussian_prior, memo_logdens, merge_hyper
 
 HYPER_DEFAULTS = {
     "LR-N": {"b02": 10.0},
@@ -32,9 +32,7 @@ class LogisticModel(Model):
         if prior_id not in HYPER_DEFAULTS:
             raise ValueError(f"unknown logistic prior {prior_id!r}")
         self.prior_id = prior_id
-        h = dict(HYPER_DEFAULTS[prior_id])
-        if hyper:
-            h.update(hyper)
+        h = merge_hyper(HYPER_DEFAULTS[prior_id], hyper)
         p = dataset.X.shape[1]
         blocks = [Block("beta", p, Identity())]
         if prior_id == "LR-L":

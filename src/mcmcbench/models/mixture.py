@@ -23,7 +23,7 @@ from scipy.special import gammaln
 from ..datagen import Dataset
 from ..distributions import Categorical, Dirichlet, Gaussian, InverseGamma
 from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax
-from .base import ConditionalSpec, Model, ig_logpdf
+from .base import ConditionalSpec, Model, ig_logpdf, merge_hyper
 
 HYPER_DEFAULTS = {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
 
@@ -57,9 +57,7 @@ class MixtureModel(Model):
     ):
         if parameterization not in ("marginal", "latent"):
             raise ValueError(f"unknown parameterization {parameterization!r}")
-        h = dict(HYPER_DEFAULTS)
-        if hyper:
-            h.update(hyper)
+        h = merge_hyper(HYPER_DEFAULTS, hyper)
         self.H = int(H)
         self.parameterization = parameterization
         blocks = [

@@ -31,13 +31,6 @@ class SamplerConfig:
     n_burn: int = 1000
     n_thin: int = 2
     seed: int = 0
-    # adaptation knobs, frozen after burn-in
-    rwmh_target_accept_scalar: float = 0.44
-    rwmh_target_accept_block: float = 0.234
-    nuts_target_accept: float = 0.8
-    nuts_max_tree_depth: int = 10
-    slice_width: float = 1.0
-    slice_max_doublings: int = 30
 
     def __post_init__(self):
         if self.backend not in BACKENDS:

@@ -14,6 +14,8 @@ import math
 import numpy as np
 
 DIVERGENCE_CAP = 1000.0
+TARGET_ACCEPT = 0.8
+MAX_TREE_DEPTH = 10
 
 
 def leapfrog(logp_and_grad, q, p, grad_q, eps):
@@ -32,7 +34,7 @@ def leapfrog(logp_and_grad, q, p, grad_q, eps):
 
 
 class _Tree:
-    """State carried through the recursive doubling."""
+    """A trajectory segment: its two ends, its proposal and its tallies."""
 
     __slots__ = (
         "q_minus", "p_minus", "g_minus",
@@ -40,6 +42,16 @@ class _Tree:
         "q_prop", "logp_prop", "g_prop",
         "n_valid", "keep_going", "alpha_sum", "n_alpha", "divergent",
     )
+
+
+def _point(q, p, g, logp):
+    """A segment of one point, which is both its ends and its proposal."""
+    t = _Tree()
+    t.q_minus = t.q_plus = t.q_prop = q
+    t.p_minus = t.p_plus = p
+    t.g_minus = t.g_plus = t.g_prop = g
+    t.logp_prop = logp
+    return t
 
 
 def _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth, eps, rng):
@@ -51,11 +63,7 @@ def _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth, eps, rng):
             joint = logp1 - 0.5 * float(p1 @ p1)
         if not math.isfinite(joint):
             joint = -math.inf
-        t = _Tree()
-        t.q_minus = t.q_plus = t.q_prop = q1
-        t.p_minus = t.p_plus = p1
-        t.g_minus = t.g_plus = t.g_prop = g1
-        t.logp_prop = logp1
+        t = _point(q1, p1, g1, logp1)
         t.n_valid = 1 if log_u <= joint else 0
         t.divergent = log_u - DIVERGENCE_CAP > joint
         t.keep_going = not t.divergent
@@ -65,54 +73,76 @@ def _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth, eps, rng):
 
     t = _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth - 1, eps, rng)
     if t.keep_going:
-        if direction == -1:
-            t2 = _build_tree(
-                model, t.q_minus, t.p_minus, t.g_minus, log_u, joint0, direction, depth - 1, eps, rng
-            )
-            t.q_minus, t.p_minus, t.g_minus = t2.q_minus, t2.p_minus, t2.g_minus
-        else:
-            t2 = _build_tree(
-                model, t.q_plus, t.p_plus, t.g_plus, log_u, joint0, direction, depth - 1, eps, rng
-            )
-            t.q_plus, t.p_plus, t.g_plus = t2.q_plus, t2.p_plus, t2.g_plus
-        total = t.n_valid + t2.n_valid
-        if t2.n_valid > 0 and rng.random() < t2.n_valid / total:
-            t.q_prop, t.logp_prop, t.g_prop = t2.q_prop, t2.logp_prop, t2.g_prop
-        t.n_valid = total
-        t.alpha_sum += t2.alpha_sum
-        t.n_alpha += t2.n_alpha
-        t.divergent = t.divergent or t2.divergent
-        dq = t.q_plus - t.q_minus
-        t.keep_going = (
-            t2.keep_going
-            and float(dq @ t.p_minus) >= 0.0
-            and float(dq @ t.p_plus) >= 0.0
-        )
+        _extend(model, t, log_u, joint0, direction, depth - 1, eps, rng, top=False)
     return t
 
 
-def _find_reasonable_epsilon(model, q, rng):
-    eps = 1.0
-    logp, grad = model.logp_and_grad(q)
+def _extend(model, t, log_u, joint0, direction, depth, eps, rng, top):
+    """Grow ``t`` by a subtree of ``depth`` off its ``direction`` end.
+
+    Inside a subtree the new half's proposal replaces ``t``'s with
+    probability n''/(n' + n''). At the ``top`` of the trajectory it does so
+    with probability n''/n', which favours the new half, and never when the
+    new half stopped.  ``t`` then stops if the new half stopped or if its
+    ends make a U-turn.
+    """
+    if direction == -1:
+        sub = _build_tree(
+            model, t.q_minus, t.p_minus, t.g_minus, log_u, joint0, direction, depth, eps, rng
+        )
+        t.q_minus, t.p_minus, t.g_minus = sub.q_minus, sub.p_minus, sub.g_minus
+    else:
+        sub = _build_tree(
+            model, t.q_plus, t.p_plus, t.g_plus, log_u, joint0, direction, depth, eps, rng
+        )
+        t.q_plus, t.p_plus, t.g_plus = sub.q_plus, sub.p_plus, sub.g_plus
+    n_old = t.n_valid
+    t.n_valid = n_old + sub.n_valid
+    if (
+        (sub.keep_going or not top)
+        and sub.n_valid > 0
+        and rng.random() < sub.n_valid / (n_old if top else t.n_valid)
+    ):
+        t.q_prop, t.logp_prop, t.g_prop = sub.q_prop, sub.logp_prop, sub.g_prop
+    t.alpha_sum += sub.alpha_sum
+    t.n_alpha += sub.n_alpha
+    t.divergent = t.divergent or sub.divergent
+    dq = t.q_plus - t.q_minus
+    t.keep_going = (
+        sub.keep_going
+        and float(dq @ t.p_minus) >= 0.0
+        and float(dq @ t.p_plus) >= 0.0
+    )
+
+
+def _find_reasonable_epsilon(model, q, logp, grad, rng):
+    """Initial step size (Hoffman & Gelman 2014, Algorithm 4).
+
+    Halves or doubles the step until one leapfrog step from ``q``, where the
+    log density is ``logp`` and its gradient ``grad``, crosses an acceptance
+    probability of 1/2.
+    """
     p = rng.standard_normal(q.size)
     joint0 = logp - 0.5 * float(p @ p)
-    q1, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
-    joint1 = logp1 - 0.5 * float(p1 @ p1)
-    while not math.isfinite(joint1):
+
+    def joint_after(eps):
+        _, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
+        joint = logp1 - 0.5 * float(p1 @ p1)
+        return joint if math.isfinite(joint) else -math.inf
+
+    eps = 1.0
+    joint1 = joint_after(eps)
+    while joint1 == -math.inf:
         eps *= 0.5
         if eps < 1e-10:
             return 1e-10
-        q1, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
-        joint1 = logp1 - 0.5 * float(p1 @ p1)
+        joint1 = joint_after(eps)
     direction = 1.0 if joint1 - joint0 > math.log(0.5) else -1.0
     while direction * (joint1 - joint0) > -direction * math.log(2.0):
         eps *= 2.0**direction
         if eps > 1e7 or eps < 1e-10:
             break
-        q1, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
-        joint1 = logp1 - 0.5 * float(p1 @ p1)
-        if not math.isfinite(joint1):
-            joint1 = -math.inf
+        joint1 = joint_after(eps)
     return eps
 
 
@@ -124,7 +154,7 @@ def start(model, cfg, rng):
     q = model.initial_u().copy()
     logp, grad = model.logp_and_grad(q)
 
-    eps = _find_reasonable_epsilon(model, q, rng)
+    eps = _find_reasonable_epsilon(model, q, logp, grad, rng)
     mu = math.log(10.0 * eps)
     log_eps_bar = 0.0
     h_bar = 0.0
@@ -141,51 +171,26 @@ def start(model, cfg, rng):
         joint0 = logp - 0.5 * float(p0 @ p0)
         log_u = joint0 + math.log(rng.random())
 
-        q_minus = q_plus = q
-        p_minus = p_plus = p0
-        g_minus = g_plus = grad
-        n_valid = 1
+        tree = _point(q, p0, grad, logp)
+        tree.n_valid, tree.keep_going, tree.divergent = 1, True, False
+        tree.alpha_sum, tree.n_alpha = 0.0, 0
         depth = 0
-        keep_going = True
-        alpha_sum, n_alpha = 0.0, 0
-        divergent = False
-        while keep_going:
+        while tree.keep_going:
             direction = 1 if rng.random() < 0.5 else -1
-            if direction == -1:
-                t = _build_tree(
-                    model, q_minus, p_minus, g_minus, log_u, joint0, -1, depth, eps, rng
-                )
-                q_minus, p_minus, g_minus = t.q_minus, t.p_minus, t.g_minus
-            else:
-                t = _build_tree(
-                    model, q_plus, p_plus, g_plus, log_u, joint0, 1, depth, eps, rng
-                )
-                q_plus, p_plus, g_plus = t.q_plus, t.p_plus, t.g_plus
-            if t.keep_going and t.n_valid > 0 and rng.random() < t.n_valid / n_valid:
-                q, logp, grad = t.q_prop, t.logp_prop, t.g_prop
-            n_valid += t.n_valid
-            alpha_sum += t.alpha_sum
-            n_alpha += t.n_alpha
-            divergent = divergent or t.divergent
+            _extend(model, tree, log_u, joint0, direction, depth, eps, rng, top=True)
             depth += 1
-            dq = q_plus - q_minus
-            keep_going = (
-                t.keep_going
-                and float(dq @ p_minus) >= 0.0
-                and float(dq @ p_plus) >= 0.0
-            )
-            if depth >= cfg.nuts_max_tree_depth:
-                if keep_going:
-                    n_maxdepth += 1
-                keep_going = False
+            if depth >= MAX_TREE_DEPTH:
+                n_maxdepth += int(tree.keep_going)
+                break
+        q, logp, grad = tree.q_prop, tree.logp_prop, tree.g_prop
         depth_total += depth
         if it > cfg.n_burn:  # divergences during step-size adaptation are expected
-            n_divergent += int(divergent)
+            n_divergent += int(tree.divergent)
 
         if it <= cfg.n_burn:
             frac = 1.0 / (it + t0)
             h_bar = (1.0 - frac) * h_bar + frac * (
-                cfg.nuts_target_accept - alpha_sum / max(n_alpha, 1)
+                TARGET_ACCEPT - tree.alpha_sum / max(tree.n_alpha, 1)
             )
             log_eps = mu - math.sqrt(it) / gamma * h_bar
             eta = it**-kappa

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 
 SCALE_FLOOR = 1e-8
+TARGET_ACCEPT_SCALAR = 0.44
+TARGET_ACCEPT_BLOCK = 0.234
 
 
 def start(model, cfg, rng):
@@ -19,19 +21,9 @@ def start(model, cfg, rng):
     latent = model.is_latent
     z = model.initial_z(model.space.constrain(u)) if latent else None
 
-    block_names = model.rw_block_names()
-    slices = {nm: model.space.u_slice(nm) for nm in block_names}
-    sizes = {nm: sl.stop - sl.start for nm, sl in slices.items()}
-    log_scale = {nm: math.log(0.5) for nm in block_names}
-    targets = {
-        nm: (
-            cfg.rwmh_target_accept_scalar
-            if sizes[nm] == 1
-            else cfg.rwmh_target_accept_block
-        )
-        for nm in block_names
-    }
-    accept_count = {nm: 0 for nm in block_names}
+    blocks = [(b.name, model.space.u_slice(b.name), b.size) for b in model.space.blocks]
+    log_scale = {nm: math.log(0.5) for nm, _, _ in blocks}
+    accept_count = {nm: 0 for nm, _, _ in blocks}
 
     def logp(uu, zz):
         return model.log_posterior_u(uu, zz) if latent else model.log_posterior_u(uu)
@@ -43,10 +35,9 @@ def start(model, cfg, rng):
         if latent:
             z = model.resample_latent(model.space.constrain(u), rng)
             current = logp(u, z)
-        for nm in block_names:
-            sl = slices[nm]
+        for nm, sl, size in blocks:
             prop = u.copy()
-            prop[sl] = u[sl] + math.exp(log_scale[nm]) * rng.standard_normal(sizes[nm])
+            prop[sl] = u[sl] + math.exp(log_scale[nm]) * rng.standard_normal(size)
             prop_lp = logp(prop, z)
             log_alpha = prop_lp - current
             accepted = log_alpha >= 0 or rng.random() < math.exp(log_alpha)
@@ -56,7 +47,8 @@ def start(model, cfg, rng):
             if it <= cfg.n_burn:
                 alpha = min(1.0, math.exp(min(0.0, log_alpha)))
                 gain = it ** -0.6
-                log_scale[nm] += gain * (alpha - targets[nm])
+                target = TARGET_ACCEPT_SCALAR if size == 1 else TARGET_ACCEPT_BLOCK
+                log_scale[nm] += gain * (alpha - target)
                 log_scale[nm] = max(log_scale[nm], math.log(SCALE_FLOOR))
             else:
                 accept_count[nm] += int(accepted)
@@ -67,7 +59,7 @@ def start(model, cfg, rng):
     def stats():
         post_burn = cfg.n_iter - cfg.n_burn
         return {
-            "acceptance": {nm: accept_count[nm] / post_burn for nm in block_names},
+            "acceptance": {nm: count / post_burn for nm, count in accept_count.items()},
             "proposal_scales": {nm: math.exp(s) for nm, s in log_scale.items()},
         }
 

@@ -18,7 +18,7 @@ class SliceBracketError(RuntimeError):
     def __init__(self, block: str, x0: float):
         super().__init__(
             f"slice sampler could not bracket the level set for block {block!r} "
-            f"starting from {x0!r}; increase slice_max_doublings or slice_width"
+            f"starting from {x0!r} before the doubling budget ran out"
         )
         self.block = block
 
@@ -49,9 +49,9 @@ def _doubling_acceptable(logdens, x0, x1, log_level, left, right, w):
 def slice_step(
     logdens,
     x0: float,
+    rng: np.random.Generator,
     w: float = 1.0,
     max_steps: int = 30,
-    rng: np.random.Generator | None = None,
     block: str = "<anonymous>",
 ) -> float:
     """One slice-sampling update leaving exp(logdens) invariant.
@@ -59,8 +59,6 @@ def slice_step(
     ``max_steps`` bounds the number of interval doublings, so the bracket
     can reach a width of w * 2**max_steps before giving up.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     logf0 = float(logdens(x0))
     if not math.isfinite(logf0):
         raise ValueError(f"log density not finite at the current point of {block!r}")

@@ -35,6 +35,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(prior="LM-C", backends="gibbs,gibbs")
     with pytest.raises(ValueError):
+        ExperimentConfig(prior="LM-C", backends="")
+    with pytest.raises(ValueError):
+        ExperimentConfig(prior="MM", hyper={"a00": 3})
+    with pytest.raises(ValueError):
         ExperimentConfig(prior="LM-C", n_iter=500)
     with pytest.raises(ValueError):
         ExperimentConfig(prior="LM-C", n_iter=300, n_burn=100, n_thin=3)

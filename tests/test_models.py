@@ -100,6 +100,11 @@ def test_latent_mixture_has_no_gradient():
         model.logp_and_grad(model.initial_u())
 
 
+def test_unknown_hyper_key_rejected():
+    with pytest.raises(ValueError, match="b2"):
+        get_model("LR-N", small_dataset("LR-N"), hyper={"b2": 5.0})
+
+
 # ---------------------------------------------------------------------------
 # log-posterior hand checks
 

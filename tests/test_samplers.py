@@ -14,6 +14,7 @@ from mcmcbench.samplers import (
     run,
     slice_step,
 )
+from mcmcbench.samplers import nuts
 from mcmcbench.samplers.nuts import leapfrog
 
 
@@ -39,9 +40,6 @@ class GaussianTarget:
 
     def initial_u(self):
         return np.zeros(self.dim)
-
-    def rw_block_names(self):
-        return ["x"]
 
     def log_posterior_u(self, u):
         d = u - self.mean
@@ -307,3 +305,11 @@ def test_nuts_reports_adaptation_stats():
     assert chain.stats["step_size"] > 0
     assert chain.stats["n_divergent"] == 0
     assert chain.stats["mean_tree_depth"] >= 1.0
+
+
+def test_nuts_tree_depth_cap(monkeypatch):
+    monkeypatch.setattr(nuts, "MAX_TREE_DEPTH", 3)
+    target = GaussianTarget(np.zeros(50), np.eye(50))
+    chain = run("nuts", target, cfg_for("nuts", n_iter=400, n_burn=200, seed=16))
+    assert chain.stats["n_max_depth"] > 0
+    assert chain.stats["mean_tree_depth"] <= 3
