@@ -4,12 +4,16 @@
 Each chain comes from ``run_experiment(ExperimentConfig(prior=...,
 n_iter=2000, n_burn=1000, seed=0))`` with the other defaults (n=100, p=4,
 H=2, thinning 2).  Each line holds the prior, the backend, the SHA-256 of
-``Chain.samples`` and the SHA-256 of ``Chain.stats`` as sorted JSON.
+``Chain.samples``, the SHA-256 of ``Chain.stats`` as sorted JSON, and the
+report's ``lpml``, ``waic`` and ``kl`` printed with ``repr`` (``kl`` is
+``None`` outside the mixture).
 
 Run it before and after a change on the same machine and diff the two
-outputs: equal lines mean bit-identical draws and sampler statistics.  The
-digests depend on the CPU's SIMD code paths, so outputs from different
-machines are not comparable.
+outputs: equal lines mean bit-identical draws, sampler statistics and fit
+numbers, and a line that differs only in its fit numbers shows which of
+them a diagnostics change moved and by how much.  The digests depend on
+the CPU's SIMD code paths, so outputs from different machines are not
+comparable.
 
 Usage:
     python scripts/chain_digests.py > digests.txt
@@ -35,7 +39,12 @@ def main():
             chain = rep.chain
             samples = sha256(np.ascontiguousarray(chain.samples, dtype=np.float64).tobytes())
             stats = sha256(json.dumps(chain.stats, sort_keys=True).encode())
-            print(f"{prior:7s} {backend:5s} {samples} stats {stats}", flush=True)
+            fit = rep.fit
+            print(
+                f"{prior:7s} {backend:5s} {samples} stats {stats}"
+                f" lpml {fit.lpml!r} waic {fit.waic!r} kl {fit.kl!r}",
+                flush=True,
+            )
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -50,11 +51,8 @@ def build_parser():
     return parser
 
 
-_CFG_FIELDS = (
-    "prior", "n", "p", "H", "covariates", "zero_pattern", "k", "backends",
-    "chains", "seed", "repeats", "out", "n_iter", "n_burn", "n_thin",
-    "max_workers",
-)
+# Every ExperimentConfig field may come from the config file; the flags set a subset.
+_CFG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _merge_config(args) -> ExperimentConfig:

@@ -210,16 +210,6 @@ class RunReport:
         return int(sum(vals))
 
 
-def _pointwise_loglik(model, chain) -> np.ndarray:
-    """(N_s, n) matrix of per-observation log-likelihoods over retained draws."""
-    out = np.empty((chain.n_samples, model.n))
-    space = model.space
-    for j in range(chain.n_samples):
-        params = space.unflatten_constrained(chain.samples[j])
-        out[j] = model.log_likelihood_pointwise(params)
-    return out
-
-
 def _true_mixture_density(truth):
     mix = truth.mixture
     w = np.asarray(mix["weights"], dtype=float)
@@ -246,7 +236,7 @@ def _diagnose(cfg: ExperimentConfig, dataset, report: RunReport) -> None:
     # Pointwise log-likelihood always comes from the marginal form so the
     # latent-allocation chains are scored on the same likelihood.
     diag_model = _build_model(cfg, dataset, "nuts")
-    loglik = np.vstack([_pointwise_loglik(diag_model, c) for c in report.chains])
+    loglik = np.vstack([diag_model.log_likelihood_draws(c.samples) for c in report.chains])
 
     fit = diagnostics.FitReport()
     fit.lpml = diagnostics.lpml(loglik)

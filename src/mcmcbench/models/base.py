@@ -7,7 +7,9 @@ Every model exposes the same surface to the samplers:
 - ``logp_and_grad(u)``: value plus hand-derived gradient (continuous
   parameterizations only)
 - ``log_likelihood_pointwise(params)``: per-observation log-likelihood on
-  the constrained scale, for LPML/WAIC
+  the constrained scale
+- ``log_likelihood_draws(samples)``: the same over retained draws, one row
+  per draw, for LPML/WAIC
 - ``gibbs_scan(state, rng, slice_fn)``: one systematic scan of block
   updates; conjugate blocks are drawn exactly, the rest take one slice
   step through the injected ``slice_fn``
@@ -78,6 +80,13 @@ class Model:
 
     def log_likelihood_pointwise(self, params: dict) -> np.ndarray:
         raise NotImplementedError
+
+    def log_likelihood_draws(self, samples: np.ndarray) -> np.ndarray:
+        """(N_s, n) matrix of ``log_likelihood_pointwise`` over constrained draws."""
+        out = np.empty((samples.shape[0], self.n))
+        for j, row in enumerate(samples):
+            out[j] = self.log_likelihood_pointwise(self.space.unflatten_constrained(row))
+        return out
 
     def log_prior(self, params: dict) -> float:
         raise NotImplementedError

@@ -175,17 +175,17 @@ def start(model, cfg, rng):
         tree.n_valid, tree.keep_going, tree.divergent = 1, True, False
         tree.alpha_sum, tree.n_alpha = 0.0, 0
         depth = 0
-        while tree.keep_going:
+        while tree.keep_going and depth < MAX_TREE_DEPTH:
             direction = 1 if rng.random() < 0.5 else -1
             _extend(model, tree, log_u, joint0, direction, depth, eps, rng, top=True)
             depth += 1
-            if depth >= MAX_TREE_DEPTH:
-                n_maxdepth += int(tree.keep_going)
-                break
         q, logp, grad = tree.q_prop, tree.logp_prop, tree.g_prop
-        depth_total += depth
-        if it > cfg.n_burn:  # divergences during step-size adaptation are expected
+        # As in Stan, the statistics count the iterations after warm-up only:
+        # divergences and capped trees are expected while the step size adapts.
+        if it > cfg.n_burn:
             n_divergent += int(tree.divergent)
+            n_maxdepth += int(tree.keep_going)  # the cap stopped a growing tree
+            depth_total += depth
 
         if it <= cfg.n_burn:
             frac = 1.0 / (it + t0)
@@ -207,7 +207,7 @@ def start(model, cfg, rng):
             "step_size": eps,
             "n_divergent": n_divergent,
             "n_max_depth": n_maxdepth,
-            "mean_tree_depth": depth_total / cfg.n_iter,
+            "mean_tree_depth": depth_total / (cfg.n_iter - cfg.n_burn),
         }
 
     return step, draw, stats

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mcmcbench.cli import _merge_config, build_parser
 from mcmcbench.cli import main as cli_main
 from mcmcbench.harness import (
     REPORT_COLUMNS,
@@ -222,6 +223,22 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["seed"] == 9  # flag wins over file
+
+
+def test_cli_config_file_sets_hyper(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"prior": "LR-N", "hyper": {"b02": 5.0}}))
+    args = build_parser().parse_args(["run", "--config", str(cfg_file)])
+    assert _merge_config(args).hyper == {"b02": 5.0}
+    cfg_file.write_text(json.dumps({
+        "prior": "LR-N", "hyper": {"b02": 5.0}, "n": 30, "p": 3, "n_iter": 300,
+        "n_burn": 100, "backends": "gibbs",
+    }))
+    assert cli_main(["run", "--config", str(cfg_file)]) == 0
+    cfg_file.write_text(json.dumps({"prior": "LR-N", "hyperparameters": {"b02": 5.0}}))
+    assert cli_main(["run", "--config", str(cfg_file)]) != 0
+    err = json.loads(capsys.readouterr().err)
+    assert "unknown config keys" in err["message"]
 
 
 def test_cli_error_is_machine_readable(capsys):

@@ -253,6 +253,30 @@ def test_mixture_label_permutation_invariance():
     assert model.log_prior(params) == pytest.approx(model.log_prior(swapped), abs=1e-12)
 
 
+def mixture_draws(r, n_draws, H, log_s2):
+    """Constrained MM rows (mu, sigma2, v2, p) of random parameter draws."""
+    mu = r.normal(0.0, 3.0, (n_draws, H))
+    s2 = np.exp(r.uniform(*log_s2, (n_draws, H)))
+    v2 = np.exp(r.normal(0.0, 1.0, (n_draws, 1)))
+    g = r.gamma(1.0, 1.0, (n_draws, H))
+    return np.hstack([mu, s2, v2, g / g.sum(axis=1, keepdims=True)])
+
+
+@pytest.mark.parametrize("H", [2, 3, 4])
+def test_mixture_batched_pointwise_matches_per_draw_rows(H):
+    from mcmcbench.models.mixture import DRAW_BLOCK
+
+    ds = datagen.gen_mixture(200, 4 if H == 4 else 2, seed=H)
+    model = get_model("MM", ds, H=H)
+    samples = mixture_draws(rng(H), 2 * DRAW_BLOCK + 5, H, log_s2=(-4.0, 3.0))
+    per_draw = np.array(
+        [model.log_likelihood_pointwise(model.space.unflatten_constrained(row)) for row in samples]
+    )
+    batched = model.log_likelihood_draws(samples)
+    assert batched.shape == (samples.shape[0], ds.n)
+    assert np.array_equal(batched, per_draw)
+
+
 # ---------------------------------------------------------------------------
 # full conditionals
 
@@ -526,3 +550,46 @@ def test_predictive_density_integrates_to_one():
     q = predictive_density(chain, y, H=2)
     total = np.trapezoid(q, y)
     assert total == pytest.approx(1.0, abs=1e-3)
+
+
+def test_predictive_density_matches_direct_sum_on_adversarial_draws():
+    from mcmcbench.models.mixture import predictive_density
+    from mcmcbench.samplers.common import Chain
+
+    H, n_draws = 4, 200
+    r = rng(23)
+    samples = mixture_draws(r, n_draws, H, log_s2=(math.log(1e-3), math.log(10.0)))
+    samples[:, :H] = r.uniform(-8.0, 8.0, (n_draws, H))
+    names = [f"mu[{h}]" for h in range(H)] + [f"sigma2[{h}]" for h in range(H)]
+    names += ["v2"] + [f"p[{h}]" for h in range(H)]
+    chain = Chain(
+        samples=samples, names=names, backend="gibbs", seed=0,
+        n_iter=2 * n_draws, n_burn=0, n_thin=2, t_s=1.0,
+    )
+    y = np.linspace(-14.0, 14.0, 4001)
+    direct = np.zeros_like(y)
+    for row in samples:
+        mu, s2, w = row[:H], row[H : 2 * H], row[2 * H + 1 :]
+        for h in range(H):
+            direct += w[h] * np.exp(-0.5 * (y - mu[h]) ** 2 / s2[h]) / math.sqrt(2 * math.pi * s2[h])
+    direct /= n_draws
+    q = predictive_density(chain, y, H=H)
+    live = direct > 1e-300
+    np.testing.assert_allclose(q[live], direct[live], rtol=1e-10, atol=0)
+
+
+def test_predictive_density_skips_zero_weight_components():
+    from mcmcbench.models.mixture import predictive_density
+    from mcmcbench.samplers.common import Chain
+
+    names = ["mu[0]", "mu[1]", "sigma2[0]", "sigma2[1]", "v2", "p[0]", "p[1]"]
+    row = np.array([-1.0, 2.0, 1.0, 0.5, 1.0, 0.0, 1.0])
+    chain = Chain(
+        samples=row[None, :], names=names, backend="gibbs", seed=0,
+        n_iter=2, n_burn=0, n_thin=2, t_s=1.0,
+    )
+    y = np.array([0.0, 2.0, -30.0])
+    expected = np.exp([di.Gaussian(2, 0.5).log_density(v) for v in y])
+    with np.errstate(divide="raise", invalid="raise"):
+        q = predictive_density(chain, y, H=2)
+    np.testing.assert_allclose(q, expected, rtol=1e-13, atol=0)

@@ -309,7 +309,20 @@ def test_nuts_reports_adaptation_stats():
 
 def test_nuts_tree_depth_cap(monkeypatch):
     monkeypatch.setattr(nuts, "MAX_TREE_DEPTH", 3)
-    target = GaussianTarget(np.zeros(50), np.eye(50))
+    # Variances from 1 to 100: the step size fits the narrowest direction, so
+    # trajectories after warm-up still want more than 2**3 leapfrog steps.
+    target = GaussianTarget(np.zeros(10), np.diag(np.logspace(0, 2, 10)))
     chain = run("nuts", target, cfg_for("nuts", n_iter=400, n_burn=200, seed=16))
     assert chain.stats["n_max_depth"] > 0
     assert chain.stats["mean_tree_depth"] <= 3
+
+
+def test_nuts_depth_stats_skip_warmup(monkeypatch):
+    # On a standard normal the depth-3 cap is hit only while the step size
+    # adapts (42 times in the first 200 iterations at this seed), and the
+    # statistics count the iterations after warm-up, as Stan does.
+    monkeypatch.setattr(nuts, "MAX_TREE_DEPTH", 3)
+    target = GaussianTarget(np.zeros(50), np.eye(50))
+    chain = run("nuts", target, cfg_for("nuts", n_iter=400, n_burn=200, seed=16))
+    assert chain.stats["n_max_depth"] == 0
+    assert chain.stats["mean_tree_depth"] == 3.0
