@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Snapshot the benchmark into one ``BENCH_<pr>.json`` at the repository root.
+
+Runs ``perfbench/run.py --workload W --trace 0`` and ``--trace 1`` for every
+workload at perfbench's default seed (0) and run length (25 s), keeps the
+JSON object each run prints last, and writes them together with the git SHA
+(and whether the working tree had uncommitted changes), the machine (core
+count, CPU model, Python, numpy and scipy versions) and a Tier-1 suite time
+entered by hand.
+
+Compare a snapshot only with one taken on the same machine.  Evaluation
+counts (``--trace 1``) are exact; timings are recorded as measured, one run
+each, and a gain is claimed only from alternating parent/change pairs of
+``perfbench/run.py``.
+
+Usage:
+    python scripts/bench_snapshot.py --pr N --tier1-s SECONDS
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+from run import machine  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                          check=True).stdout.strip()
+
+
+def perfbench(workload: str, trace: int) -> dict:
+    """The JSON object of the last line of one ``perfbench/run.py`` run."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--trace", str(trace)],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pr", type=int, required=True, help="number in the file name")
+    ap.add_argument("--tier1-s", type=float, required=True,
+                    help="wall time of the Tier-1 suite in seconds, measured separately")
+    args = ap.parse_args()
+
+    runs = {}
+    for name in WORKLOADS:
+        runs[name] = {}
+        for trace in (0, 1):
+            print(f"{name} trace {trace}", file=sys.stderr, flush=True)
+            runs[name][f"trace{trace}"] = perfbench(name, trace)
+    snapshot = {
+        "pr": args.pr,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "tier1_s": args.tier1_s,
+        "machine": {**machine(), "numpy": np.__version__, "scipy": scipy.__version__},
+        "runs": runs,
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(snapshot, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

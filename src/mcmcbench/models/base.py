@@ -164,11 +164,10 @@ def ig_logpdf(x, a: float, b: float) -> float:
 def memo_logdens(lik, penalty, b0: float, lik0: float | None = None):
     """The 1-D log density ``lik(b) - penalty(b)``, computing ``lik`` once per b.
 
-    A slice step evaluates some points twice (bracket ends that the
-    doubling test revisits), and the log-likelihood at the value a
-    coordinate accepts is the next coordinate's log-likelihood at its
-    start.  Returns the density and its memo, a dict from b to ``lik(b)``
-    seeded with ``{b0: lik0}`` when the caller already knows ``lik0``.
+    The log-likelihood at the value a coordinate's slice step accepts is
+    the next coordinate's log-likelihood at its start.  Returns the density
+    and its memo, a dict from b to ``lik(b)`` seeded with ``{b0: lik0}``
+    when the caller already knows ``lik0``.
     """
     seen = {} if lik0 is None else {b0: lik0}
 

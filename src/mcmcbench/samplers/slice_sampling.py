@@ -1,8 +1,14 @@
-"""Univariate slice sampling with interval doubling and shrinkage (Neal 2003).
+"""Univariate slice sampling by stepping out and shrinkage (Neal 2003, §4).
 
 Used by the Gibbs backend for every block whose full conditional has no
-closed form.  The log density may return -inf outside the support; the
-doubling loop treats that as falling below the slice level.
+closed form, as the slice samplers of JAGS and NIMBLE are: a width-w
+interval placed at random around the current point steps out in units of
+w until both ends fall below the slice level or a budget of ``max_steps``
+widths is spent, and a candidate drawn uniformly from it is accepted or
+shrinks the interval towards the current point (Neal 2003, Figs. 3 and
+5).  With a finite budget the update is exact and cannot fail.  The log
+density may return -inf outside the support; stepping out and shrinkage
+treat that as falling below the slice level.
 """
 
 from __future__ import annotations
@@ -11,39 +17,7 @@ import math
 
 import numpy as np
 
-
-class SliceBracketError(RuntimeError):
-    """Interval doubling exhausted its budget without bracketing the slice."""
-
-    def __init__(self, block: str, x0: float):
-        super().__init__(
-            f"slice sampler could not bracket the level set for block {block!r} "
-            f"starting from {x0!r} before the doubling budget ran out"
-        )
-        self.block = block
-
-
-def _doubling_acceptable(logdens, x0, x1, log_level, left, right, w):
-    """Neal's acceptance test for points found via the doubling procedure.
-
-    Rejects x1 if, retracing the doublings that could have produced
-    [left, right] from an interval around x1, some intermediate interval
-    separates x0 from x1 across a subinterval whose endpoints both lie
-    below the slice level (i.e. the reverse expansion would have stopped
-    before reaching x0).
-    """
-    d = False
-    while right - left > 1.1 * w:
-        mid = 0.5 * (left + right)
-        if (x0 < mid) != (x1 < mid):
-            d = True
-        if x1 < mid:
-            right = mid
-        else:
-            left = mid
-        if d and logdens(left) <= log_level and logdens(right) <= log_level:
-            return False
-    return True
+MAX_STEPS = 30  # Neal's m: at most this many widths in one interval
 
 
 def slice_step(
@@ -51,48 +25,39 @@ def slice_step(
     x0: float,
     rng: np.random.Generator,
     w: float = 1.0,
-    max_steps: int = 30,
+    max_steps: int = MAX_STEPS,
     block: str = "<anonymous>",
 ) -> float:
     """One slice-sampling update leaving exp(logdens) invariant.
 
-    ``max_steps`` bounds the number of interval doublings, so the bracket
-    can reach a width of w * 2**max_steps before giving up.
+    The interval grows to at most ``max_steps`` widths ``w``, split at
+    random between the two sides before stepping out starts.
     """
     logf0 = float(logdens(x0))
     if not math.isfinite(logf0):
         raise ValueError(f"log density not finite at the current point of {block!r}")
     log_level = logf0 + math.log(rng.random())
 
-    # doubling: expand a randomly positioned width-w interval until both
-    # endpoints fall below the slice level
+    # stepping out: J widths to the left and K to the right at most
     left = x0 - w * rng.random()
     right = left + w
-    lf_left = float(logdens(left))
-    lf_right = float(logdens(right))
-    budget = max_steps
-    while lf_left > log_level or lf_right > log_level:
-        if budget <= 0:
-            raise SliceBracketError(block, x0)
-        if rng.random() < 0.5:
-            left -= right - left
-            lf_left = float(logdens(left))
-        else:
-            right += right - left
-            lf_right = float(logdens(right))
-        budget -= 1
+    steps_left = math.floor(max_steps * rng.random())
+    steps_right = max_steps - 1 - steps_left
+    while steps_left > 0 and float(logdens(left)) > log_level:
+        left -= w
+        steps_left -= 1
+    while steps_right > 0 and float(logdens(right)) > log_level:
+        right += w
+        steps_right -= 1
 
-    # shrinkage, with the doubling-consistency acceptance test
-    lo, hi = left, right
+    # shrinkage
     for _ in range(1000):
-        x1 = lo + rng.random() * (hi - lo)
-        if float(logdens(x1)) > log_level and _doubling_acceptable(
-            logdens, x0, x1, log_level, left, right, w
-        ):
+        x1 = left + rng.random() * (right - left)
+        if float(logdens(x1)) > log_level:
             return x1
         if x1 < x0:
-            lo = x1
+            left = x1
         else:
-            hi = x1
+            right = x1
     # interval has shrunk to numerical width around x0; keep the current point
     return x0

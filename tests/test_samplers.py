@@ -9,7 +9,6 @@ from mcmcbench.models import get_model
 from mcmcbench.params import Block, ParamSpace
 from mcmcbench.samplers import (
     SamplerConfig,
-    SliceBracketError,
     chain_rng,
     run,
     slice_step,
@@ -60,6 +59,24 @@ class GaussianTarget:
                 x[others] - self.mean[others]
             )
             x[j] = rng.normal(cond_mean, math.sqrt(cond_var))
+
+
+class SliceGaussianTarget(GaussianTarget):
+    """The same target, each coordinate advanced by the Gibbs backend's slice step."""
+
+    def gibbs_scan(self, state, rng, slice_fn):
+        x = state["x"]
+        for j in range(self.dim):
+            others = [i for i in range(self.dim) if i != j]
+            cond_var = 1.0 / self.prec[j, j]
+            cond_mean = self.mean[j] - cond_var * self.prec[j, others] @ (
+                x[others] - self.mean[others]
+            )
+
+            def logpdf(v, m=cond_mean, s2=cond_var):
+                return -0.5 * (v - m) ** 2 / s2
+
+            x[j] = slice_fn(logpdf, x[j], f"x[{j}]")
 
 
 def corr2(rho=0.9):
@@ -121,14 +138,23 @@ def test_slice_requires_finite_start():
         slice_step(lambda x: -math.inf, 0.0, rng=chain_rng(3), block="beta[0]")
 
 
-def test_slice_bracket_error_names_block():
-    # zero doubling budget and a density far wider than the initial interval
-    logdens = lambda x: -0.5 * (x / 50.0) ** 2  # noqa: E731
-    with pytest.raises(SliceBracketError) as err:
-        for seed in range(50):
-            slice_step(logdens, 0.0, w=1.0, max_steps=0, rng=chain_rng(seed), block="v2")
-    assert err.value.block == "v2"
-    assert "v2" in str(err.value)
+@pytest.mark.parametrize("max_steps,n_steps", [(1, 160_000), (2, 40_000)])
+def test_slice_finite_budget_exact(max_steps, n_steps):
+    # A budget of one or two widths w=1 on N(0, 3^2) rarely brackets the
+    # slice, yet stepping out stays exact.  At max_steps=1 a step moves less
+    # than w, so its chain needs four times the steps for the same precision.
+    rng = chain_rng(17)
+    logdens = lambda x: -0.5 * (x / 3.0) ** 2  # noqa: E731
+    x = 0.0
+    draws = np.empty(n_steps)
+    for i in range(n_steps):
+        x = slice_step(logdens, x, rng=rng, w=1.0, max_steps=max_steps)
+        draws[i] = x
+    mcse = draws.std() / math.sqrt(diagnostics.ess(draws))
+    assert abs(draws.mean()) < 4.0 * mcse
+    assert abs(draws.std() / 3.0 - 1.0) < 0.05
+    thinned = draws[:: n_steps // 400]
+    assert stats.kstest(thinned, stats.norm(0.0, 3.0).cdf).statistic < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +227,45 @@ def test_nuts_high_efficiency_on_standard_normal():
     assert chain.n_samples == 2500
     rep = diagnostics.ess_report(chain, "x")
     assert rep.mean_E >= 0.8
+
+
+# ---------------------------------------------------------------------------
+# Gibbs slice steps with widths tuned in burn-in
+
+
+def slice_gauss3():
+    sd = np.array([0.5, 1.0, 2.0])
+    corr = np.array([[1.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+    return SliceGaussianTarget([1.0, -2.0, 0.5], corr * np.outer(sd, sd))
+
+
+def test_gibbs_slice_recovers_gaussian():
+    target = slice_gauss3()
+    chain = run("gibbs", target, cfg_for("gibbs", n_iter=8000, n_burn=1000, seed=18))
+    xs = chain.samples
+    sd = np.sqrt(np.diag(target.cov))
+    mcse = sd / np.sqrt(np.array([diagnostics.ess(xs[:, j]) for j in range(3)]))
+    np.testing.assert_array_less(np.abs(xs.mean(axis=0) - target.mean), 4.0 * mcse)
+    # each entry within 0.15 on the correlation scale
+    np.testing.assert_allclose(np.cov(xs.T) / np.outer(sd, sd), target.cov / np.outer(sd, sd),
+                               atol=0.15)
+    width = chain.stats["slice_width"]
+    assert list(width) == ["x[0]", "x[1]", "x[2]"]
+    # the tuned widths follow the conditional scales
+    assert width["x[0]"] < width["x[1]"] < width["x[2]"]
+
+
+def test_gibbs_slice_widths_freeze_after_burn_in():
+    target = slice_gauss3()
+    short = run("gibbs", target, cfg_for("gibbs", n_iter=400, n_burn=200, seed=19))
+    long = run("gibbs", target, cfg_for("gibbs", n_iter=800, n_burn=200, seed=19))
+    assert short.stats["slice_width"] == long.stats["slice_width"]
+    assert all(w != 1.0 for w in short.stats["slice_width"].values())
+
+
+def test_gibbs_slice_width_untuned_without_burn_in():
+    chain = run("gibbs", slice_gauss3(), cfg_for("gibbs", n_iter=200, n_burn=0, seed=20))
+    assert chain.stats["slice_width"] == {"x[0]": 1.0, "x[1]": 1.0, "x[2]": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +353,7 @@ def test_gibbs_matches_closed_form_lmc():
         assert abs(col.mean() - post.beta_mean[j]) < 3.0 * mc_se
     s2 = chain.col("sigma2")
     assert abs(s2.mean() - post.sigma2_mean) / post.sigma2_mean < 0.1
+    assert chain.stats == {}  # a fully conjugate scan tunes no slice width
 
 
 def test_rwmh_acceptance_near_target():
