@@ -328,10 +328,6 @@ class Categorical(Distribution):
         _require(abs(self.p.sum() - 1.0) <= 1e-12, "Categorical weights must sum to 1")
         self._cum = np.cumsum(self.p)
 
-    @property
-    def n_categories(self):
-        return self.p.size
-
     def log_density(self, x):
         k = int(x)
         if k != x or not (0 <= k < self.p.size) or self.p[k] == 0.0:

@@ -102,7 +102,7 @@ class AFTModel(Model):
         return float(lp - math.log(h["sigma0"]))
 
     def logp_and_grad(self, u):
-        params = self.space.constrain(u)
+        params, log_jac, pullback = self.space.transform(u)
         beta = params["beta"]
         sigma = float(np.atleast_1d(params["sigma"])[0])
         h = self.hyper
@@ -110,14 +110,14 @@ class AFTModel(Model):
             return -math.inf, np.zeros(self.dim)
         eta = self.X @ beta
         A = _cum_hazard(self.logy, eta, sigma)
-        value = self._log_posterior(u, params, self._loglik(eta, sigma, A).sum())
+        value = self._log_posterior(log_jac, params, self._loglik(eta, sigma, A).sum())
         g_beta = self.X.T @ ((A - self.delta) / sigma) - beta / self._beta_var()
         w = (self.logy - eta) / sigma**2
         g_sigma = float((A * w - self.delta * (1.0 / sigma + w)).sum())
         if self.prior_id == "AFT-NH":
             g_sigma -= h["lambda0"]
         grads = {"beta": g_beta, "sigma": g_sigma}
-        return value, self.space.grad_to_unconstrained(u, grads)
+        return value, pullback(grads)
 
     def initial_params(self):
         return {"beta": np.zeros(self.p), "sigma": np.array([1.0])}

@@ -92,13 +92,13 @@ class Model:
         raise NotImplementedError
 
     def log_posterior_u(self, u: np.ndarray) -> float:
-        params = self.space.constrain(u)
+        params, log_jac, _ = self.space.transform(u)
         lik = float(self.log_likelihood_pointwise(params).sum())
-        return self._log_posterior(u, params, lik)
+        return self._log_posterior(log_jac, params, lik)
 
-    def _log_posterior(self, u: np.ndarray, params: dict, lik: float) -> float:
+    def _log_posterior(self, log_jac: float, params: dict, lik: float) -> float:
         """Log-likelihood ``lik`` plus log prior plus transform log-Jacobian."""
-        return float(lik + self.log_prior(params) + self.space.log_jac(u))
+        return float(lik + self.log_prior(params) + log_jac)
 
     def logp_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         raise UnsupportedOperationError(

@@ -182,13 +182,13 @@ class LinearModel(Model):
     # ---- gradient --------------------------------------------------
 
     def logp_and_grad(self, u):
-        params = self.space.constrain(u)
+        params, log_jac, pullback = self.space.transform(u)
         beta = params["beta"]
         h = self.hyper
         r = self.y - self.X @ beta
         rr = r @ r
         lik = self.log_likelihood_pointwise(params).sum()
-        value = self._log_posterior(u, params, lik)
+        value = self._log_posterior(log_jac, params, lik)
         grads = {}
         if self.prior_id in ("LM-WI", "LM-NI"):
             sig = float(np.atleast_1d(params["sigma"])[0])
@@ -199,7 +199,7 @@ class LinearModel(Model):
             if self.prior_id == "LM-WI":
                 g_sig += -2.0 * sig / (s2 + h["d0"] ** 2)
             grads["sigma"] = g_sig
-            return value, self.space.grad_to_unconstrained(u, grads)
+            return value, pullback(grads)
         s2 = self._sigma2_of(params)
         if self.prior_id == "LM-C":
             grads["beta"] = (self.X.T @ r - beta) / s2
@@ -212,7 +212,7 @@ class LinearModel(Model):
             m, q = self.n, rr
         a, b = self._sigma2_prior()
         grads["sigma2"] = -m / (2.0 * s2) + q / (2.0 * s2**2) - (a + 1.0) / s2 + b / s2**2
-        return value, self.space.grad_to_unconstrained(u, grads)
+        return value, pullback(grads)
 
     # ---- sampler hooks ---------------------------------------------
 

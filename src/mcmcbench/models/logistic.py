@@ -60,11 +60,11 @@ class LogisticModel(Model):
         return float(lp + log_lambda0 - lambda0_lam2)
 
     def logp_and_grad(self, u):
-        params = self.space.constrain(u)
+        params, log_jac, pullback = self.space.transform(u)
         beta = params["beta"]
         eta = self.X @ beta
         prob = 1.0 / (1.0 + np.exp(-eta))
-        value = self._log_posterior(u, params, (self.y * eta - _log1p_exp(eta)).sum())
+        value = self._log_posterior(log_jac, params, (self.y * eta - _log1p_exp(eta)).sum())
         grads = {}
         g_beta = self.X.T @ (self.y - prob)
         if self.prior_id == "LR-N":
@@ -73,7 +73,7 @@ class LogisticModel(Model):
             lam2 = float(np.atleast_1d(params["lambda2"])[0])
             g_sign, grads["lambda2"] = self.lasso.grads(beta, lam2)
             grads["beta"] = g_beta - g_sign
-        return value, self.space.grad_to_unconstrained(u, grads)
+        return value, pullback(grads)
 
     def initial_params(self):
         out = {"beta": np.zeros(self.p)}

@@ -143,21 +143,21 @@ class MixtureModel(Model):
         return lp
 
     def log_posterior_u(self, u, z: np.ndarray | None = None):
-        params = self.space.constrain(u)
+        params, log_jac, _ = self.space.transform(u)
         if self.is_latent:
             if z is None:
                 raise ValueError("latent parameterization needs z")
             lik = self.log_joint_given_z(params, z)
         else:
             lik = float(self.log_likelihood_pointwise(params).sum())
-        return self._log_posterior(u, params, lik)
+        return self._log_posterior(log_jac, params, lik)
 
     # ---- gradient (marginal only) ----------------------------------
 
     def logp_and_grad(self, u):
         if self.is_latent:
             return super().logp_and_grad(u)  # raises
-        params = self.space.constrain(u)
+        params, log_jac, pullback = self.space.transform(u)
         h = self.hyper
         mu, s, p = params["mu"], params["sigma2"], params["p"]
         v2 = float(params["v2"][0])
@@ -166,7 +166,7 @@ class MixtureModel(Model):
         mix = _logsumexp_components(comp)
         comp -= mix
         W = np.exp(comp, comp)  # responsibilities, columns sum to 1
-        value = self._log_posterior(u, params, float(mix.sum()))
+        value = self._log_posterior(log_jac, params, float(mix.sum()))
         d *= W
         g_mu = _sum_over_obs(d) / s - mu / v2
         dd /= (2.0 * s**2)[:, None]
@@ -180,7 +180,7 @@ class MixtureModel(Model):
         )
         g_p = _sum_over_obs(W) / p  # Dirichlet(1,..,1) prior is flat
         grads = {"mu": g_mu, "sigma2": g_s, "v2": g_v2, "p": g_p}
-        return value, self.space.grad_to_unconstrained(u, grads)
+        return value, pullback(grads)
 
     # ---- sampler hooks ---------------------------------------------
 

@@ -10,14 +10,21 @@ and NUTS operate) to the constrained scale of the model:
 - ``PinnedSoftmax`` for mixture weights (H-1 free coordinates, last
   logit pinned to zero; Jacobian determinant is prod_h p_h)
 
-The log-Jacobian of the transform is accumulated into the unconstrained
-log posterior so every backend targets the same distribution.
+Each transform has one ``forward(u) -> (x, log_jac, pullback)``: the
+constrained value x, the log-Jacobian log|dx/du| and a ``pullback`` that
+maps d/dx log f (shaped like x) to d/du [log f(x(u)) + log|J(u)|].  All
+three come from one pass over the block, and ``pullback`` holds only what
+that call computed, so calls at other u do not disturb it.
+``ParamSpace.transform`` does the same for the whole vector, and each
+model's log posterior adds its log-Jacobian, so every backend targets the
+same distribution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,49 +36,32 @@ class Transform:
     def constrained_size(self, size: int) -> int:
         return size
 
-    def constrain(self, u: np.ndarray) -> np.ndarray:
+    def forward(self, u: np.ndarray) -> tuple[np.ndarray, float, Callable]:
+        """``(x, log|J(u)|, pullback)`` at u; see the module docstring."""
         raise NotImplementedError
 
     def unconstrain(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def log_jac(self, u: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad_to_unconstrained(self, u: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
-        """Chain rule: d/du [log f(x(u)) + log|J(u)|] given d/dx log f."""
-        raise NotImplementedError
-
 
 class Identity(Transform):
-    def constrain(self, u):
-        return u
+    def forward(self, u):
+        return u, 0.0, lambda grad_x: grad_x
 
     def unconstrain(self, x):
         return np.asarray(x, dtype=float)
-
-    def log_jac(self, u):
-        return 0.0
-
-    def grad_to_unconstrained(self, u, grad_x):
-        return grad_x
 
 
 class Log(Transform):
     """x = exp(u), x > 0.  log|J| = u."""
 
-    def constrain(self, u):
+    def forward(self, u):
         with np.errstate(over="ignore"):
-            return np.exp(u)
+            x = np.exp(u)
+        return x, float(u.sum()), lambda grad_x: grad_x * x + 1.0
 
     def unconstrain(self, x):
         return np.log(np.asarray(x, dtype=float))
-
-    def log_jac(self, u):
-        return float(u.sum())
-
-    def grad_to_unconstrained(self, u, grad_x):
-        return grad_x * np.exp(u) + 1.0
 
 
 class ScaledLogit(Transform):
@@ -82,21 +72,20 @@ class ScaledLogit(Transform):
             raise ValueError("upper must be positive")
         self.upper = float(upper)
 
-    def constrain(self, u):
-        return self.upper / (1.0 + np.exp(-u))
+    def forward(self, u):
+        d = 1.0 + np.exp(-u)
+        s = 1.0 / d
+        with np.errstate(divide="ignore"):
+            log_jac = float(np.sum(math.log(self.upper) + np.log(s) + np.log1p(-s)))
+        return (
+            self.upper / d,
+            log_jac,
+            lambda grad_x: grad_x * self.upper * s * (1.0 - s) + (1.0 - 2.0 * s),
+        )
 
     def unconstrain(self, x):
         r = np.asarray(x, dtype=float) / self.upper
         return np.log(r) - np.log1p(-r)
-
-    def log_jac(self, u):
-        s = 1.0 / (1.0 + np.exp(-u))
-        with np.errstate(divide="ignore"):
-            return float(np.sum(math.log(self.upper) + np.log(s) + np.log1p(-s)))
-
-    def grad_to_unconstrained(self, u, grad_x):
-        s = 1.0 / (1.0 + np.exp(-u))
-        return grad_x * self.upper * s * (1.0 - s) + (1.0 - 2.0 * s)
 
 
 class PinnedSoftmax(Transform):
@@ -106,45 +95,29 @@ class PinnedSoftmax(Transform):
         if n_weights < 2:
             raise ValueError("need at least two weights")
         self.n_weights = int(n_weights)
-        self._last = (b"", None)  # (u bytes, weights) of the latest constrain
 
     def constrained_size(self, size):
         assert size == self.n_weights - 1
         return self.n_weights
 
-    def constrain(self, u):
-        """Weights at u, read-only.
-
-        One posterior evaluation asks for the same weights three times (for
-        the value, the log-Jacobian and the gradient), so the latest result
-        is kept and handed out again for the same u.
-        """
-        u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        if key == self._last[0]:
-            return self._last[1]
+    def forward(self, u):
         q = np.zeros(self.n_weights)
         q[:-1] = u
         q -= q.max()
         e = np.exp(q)
-        w = e / e.sum()
-        w.flags.writeable = False
-        self._last = (key, w)
-        return w
+        p = e / e.sum()
+
+        def pullback(grad_x):
+            # grad_x has length H; J_{hk} = p_h (delta_hk - p_k) for k < H.
+            g = p * grad_x
+            jac_part = 1.0 - self.n_weights * p[:-1]
+            return g[:-1] - p[:-1] * g.sum() + jac_part
+
+        return p, float(np.log(p).sum()), pullback
 
     def unconstrain(self, x):
         x = np.asarray(x, dtype=float)
         return np.log(x[:-1]) - math.log(x[-1])
-
-    def log_jac(self, u):
-        return float(np.log(self.constrain(u)).sum())
-
-    def grad_to_unconstrained(self, u, grad_x):
-        # grad_x has length H; J_{hk} = p_h (delta_hk - p_k) for k < H.
-        p = self.constrain(u)
-        g = p * grad_x
-        jac_part = 1.0 - self.n_weights * p[:-1]
-        return g[:-1] - p[:-1] * g.sum() + jac_part
 
 
 @dataclass(frozen=True)
@@ -173,12 +146,6 @@ class ParamSpace:
         # (name, transform, slice) per block, for the per-evaluation loops
         self._parts = [(b.name, b.transform, self._slices[b.name]) for b in self.blocks]
 
-    def block(self, name: str) -> Block:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
     def u_slice(self, name: str) -> slice:
         return self._slices[name]
 
@@ -193,9 +160,32 @@ class ParamSpace:
                 out.extend(f"{b.name}[{j}]" for j in range(k))
         return out
 
+    def transform(self, u: np.ndarray) -> tuple[dict, float, Callable[[dict], np.ndarray]]:
+        """``(params, log|J(u)|, pullback)``: one ``forward`` per block.
+
+        ``params`` maps each block name to its constrained value and the
+        log-Jacobian is the block sum.  ``pullback(grads)`` takes per-block
+        gradients of log f on the constrained scale and returns the gradient
+        of log f(x(u)) + log|J(u)| in u.
+        """
+        params, pullbacks = {}, []
+        log_jac = 0
+        for name, t, sl in self._parts:
+            params[name], block_log_jac, block_pullback = t.forward(u[sl])
+            log_jac += block_log_jac
+            pullbacks.append(block_pullback)
+
+        def pullback(grads: dict) -> np.ndarray:
+            g = np.empty(self.dim)
+            for (name, _, sl), pb in zip(self._parts, pullbacks):
+                g[sl] = pb(np.atleast_1d(np.asarray(grads[name], dtype=float)))
+            return g
+
+        return params, log_jac, pullback
+
     def constrain(self, u: np.ndarray) -> dict:
         """Split u into blocks and map each to its constrained scale."""
-        return {name: t.constrain(u[sl]) for name, t, sl in self._parts}
+        return self.transform(u)[0]
 
     def unconstrain(self, params: dict) -> np.ndarray:
         u = np.empty(self.dim)
@@ -204,12 +194,6 @@ class ParamSpace:
                 np.atleast_1d(np.asarray(params[b.name], dtype=float))
             )
         return u
-
-    def log_jac(self, u: np.ndarray) -> float:
-        total = 0
-        for _, t, sl in self._parts:
-            total += t.log_jac(u[sl])
-        return total
 
     def flatten_constrained(self, params: dict) -> np.ndarray:
         return np.concatenate(
@@ -225,12 +209,3 @@ class ParamSpace:
             out[b.name] = np.asarray(row[offset : offset + k], dtype=float)
             offset += k
         return out
-
-    def grad_to_unconstrained(self, u: np.ndarray, grads: dict) -> np.ndarray:
-        """Assemble the unconstrained gradient from per-block constrained grads."""
-        g = np.empty(self.dim)
-        for name, t, sl in self._parts:
-            g[sl] = t.grad_to_unconstrained(
-                u[sl], np.atleast_1d(np.asarray(grads[name], dtype=float))
-            )
-        return g
