@@ -6,12 +6,15 @@ workload at perfbench's default seed (0) and run length (25 s), keeps the
 JSON object each run prints last, and writes them together with the git SHA
 (and whether the working tree had uncommitted changes), the machine (core
 count, CPU model, Python, numpy and scipy versions) and a Tier-1 suite time
-entered by hand.
+entered by hand.  Beside each run, as ``trace<T>_probe_s``, it stores the
+seconds taken by perfbench's ``speed_probe`` loop just before and just after
+the run, a reference for the host's speed at the time.
 
 Compare a snapshot only with one taken on the same machine.  Evaluation
 counts (``--trace 1``) are exact; timings are recorded as measured, one run
 each, and a gain is claimed only from alternating parent/change pairs of
-``perfbench/run.py``.
+``perfbench/run.py``.  Between two snapshots, per-layer timings divided by
+the probe times compare the code rather than the host's speed of the moment.
 
 Usage:
     python scripts/bench_snapshot.py --pr N --tier1-s SECONDS
@@ -28,9 +31,10 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
-sys.path.insert(0, str(BENCH))
+sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
 from run import machine  # noqa: E402
+from worker import speed_probe  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -60,7 +64,9 @@ def main():
         runs[name] = {}
         for trace in (0, 1):
             print(f"{name} trace {trace}", file=sys.stderr, flush=True)
+            before = speed_probe()
             runs[name][f"trace{trace}"] = perfbench(name, trace)
+            runs[name][f"trace{trace}_probe_s"] = [before, speed_probe()]
     snapshot = {
         "pr": args.pr,
         "git_sha": git("rev-parse", "HEAD"),

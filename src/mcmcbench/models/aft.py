@@ -122,26 +122,28 @@ class AFTModel(Model):
     def initial_params(self):
         return {"beta": np.zeros(self.p), "sigma": np.array([1.0])}
 
-    def _beta_logdens(self, logy, delta, eta, j, bj, sigma, lik_bj=None):
+    def _beta_logdens(self, logy, delta, eta, j, bj, sigma, buf, lik_bj=None):
         """Log density of beta[j] given the rest, up to a constant, and its memo.
 
         ``eta`` is the linear predictor at beta[j] = bj; ``logy`` and the
         event indicators ``delta`` are the observed data, or the completed
-        data of the Gibbs scan (every time observed).  ``lik_bj`` is the
-        log-likelihood at bj if the caller knows it (see ``memo_logdens``).
+        data of the Gibbs scan (every time observed); ``buf`` is scratch
+        space of eta's shape.  The event term -delta @ e / sigma is linear
+        in b and goes with the prior; the memo holds minus the cumulative
+        hazard sum, the only O(n) part, and ``lik_bj`` is that sum at bj if
+        the caller knows it (see ``memo_logdens``).
         """
         var = self._beta_var()
-        xj, neg_delta = self._XT[j], -delta
-        e, a, s = np.empty_like(eta), np.empty_like(eta), np.empty_like(eta)
+        xj = self._XT[j]
+        dx = float(delta @ xj) / sigma
 
         def lik(b):
-            # sum(-delta * e / sigma - A) at e = eta + (b - bj) * xj, written
-            # into e, a and s (outputs passed positionally: keywords cost more)
-            np.add(eta, np.multiply(xj, b - bj, e), e)
-            np.divide(np.multiply(neg_delta, e, s), sigma, s)
-            return float(np.add.reduce(np.subtract(s, _cum_hazard(logy, e, sigma, a), s)))
+            # -sum(A) at e = eta + (b - bj) * xj, in place in buf (outputs
+            # passed positionally: keywords cost more)
+            np.add(eta, np.multiply(xj, b - bj, buf), buf)
+            return -float(np.add.reduce(_cum_hazard(logy, buf, sigma, buf)))
 
-        return memo_logdens(lik, lambda b: b * b / (2.0 * var), bj, lik_bj)
+        return memo_logdens(lik, lambda b: b * b / (2.0 * var) + (b - bj) * dx, bj, lik_bj)
 
     def _sigma_logdens(self, logy, delta, eta):
         """Log density of sigma given beta, up to a constant; data as for beta[j]."""
@@ -174,10 +176,11 @@ class AFTModel(Model):
         A_t = _cum_hazard(self.logy, eta, sigma) + rng.exponential(1.0, size=n)
         logy = np.where(cen, eta + sigma * np.log(A_t / LOG2), self.logy)
         complete = np.ones(n)
+        buf = np.empty_like(eta)
         lik = None
         for j in range(self.p):
             bj = beta[j]
-            logpdf, seen = self._beta_logdens(logy, complete, eta, j, bj, sigma, lik)
+            logpdf, seen = self._beta_logdens(logy, complete, eta, j, bj, sigma, buf, lik)
             new = slice_fn(logpdf, bj, f"beta[{j}]")
             lik = seen.get(new)
             if new != bj:
@@ -193,7 +196,8 @@ class AFTModel(Model):
             j = int(block[5:-1])
             sigma = float(np.atleast_1d(params["sigma"])[0])
             return ConditionalSpec.generic(
-                self._beta_logdens(self.logy, self.delta, eta, j, beta[j], sigma)[0]
+                self._beta_logdens(self.logy, self.delta, eta, j, beta[j], sigma,
+                                   np.empty_like(eta))[0]
             )
         if block == "sigma":
             return ConditionalSpec.generic(self._sigma_logdens(self.logy, self.delta, eta))

@@ -164,10 +164,13 @@ def ig_logpdf(x, a: float, b: float) -> float:
 def memo_logdens(lik, penalty, b0: float, lik0: float | None = None):
     """The 1-D log density ``lik(b) - penalty(b)``, computing ``lik`` once per b.
 
-    The log-likelihood at the value a coordinate's slice step accepts is
-    the next coordinate's log-likelihood at its start.  Returns the density
-    and its memo, a dict from b to ``lik(b)`` seeded with ``{b0: lik0}``
-    when the caller already knows ``lik0``.
+    ``lik`` is the nonlinear, O(n) sum of the log-likelihood; ``penalty``
+    holds the prior and the part of the likelihood that is linear in b,
+    written as a multiple of (b - b0) so that it is exactly 0 at b0.  The
+    sum at the value a coordinate's slice step accepts is then the next
+    coordinate's sum at its start.  Returns the density and its memo, a
+    dict from b to ``lik(b)`` seeded with ``{b0: lik0}`` when the caller
+    already knows ``lik0``.
     """
     seen = {} if lik0 is None else {b0: lik0}
 

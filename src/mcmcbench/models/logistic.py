@@ -20,11 +20,6 @@ HYPER_DEFAULTS = {
 }
 
 
-def _log1p_exp(eta: np.ndarray) -> np.ndarray:
-    """log(1 + exp(eta)), stable for large |eta|."""
-    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-
-
 class LogisticModel(Model):
     family = "LR"
 
@@ -41,13 +36,14 @@ class LogisticModel(Model):
         self.X = dataset.X
         self._XT = np.ascontiguousarray(dataset.X.T)  # contiguous columns of X
         self.y = dataset.y
+        self._yx = self._XT @ dataset.y  # y @ x_j for every j
         self.p = p
         if prior_id == "LR-L":
             self.lasso = LassoPrior(h["lambda0"])
 
     def log_likelihood_pointwise(self, params):
         eta = self.X @ params["beta"]
-        return self.y * eta - _log1p_exp(eta)
+        return self.y * eta - np.logaddexp(0.0, eta)
 
     def log_prior(self, params):
         beta = np.asarray(params["beta"], dtype=float)
@@ -64,7 +60,7 @@ class LogisticModel(Model):
         beta = params["beta"]
         eta = self.X @ beta
         prob = 1.0 / (1.0 + np.exp(-eta))
-        value = self._log_posterior(log_jac, params, (self.y * eta - _log1p_exp(eta)).sum())
+        value = self._log_posterior(log_jac, params, (self.y * eta - np.logaddexp(0.0, eta)).sum())
         grads = {}
         g_beta = self.X.T @ (self.y - prob)
         if self.prior_id == "LR-N":
@@ -81,29 +77,29 @@ class LogisticModel(Model):
             out["lambda2"] = np.array([1.0])
         return out
 
-    def _beta_logdens(self, eta, j, bj, root, lik_bj=None):
+    def _beta_logdens(self, eta, j, bj, root, buf, lik_bj=None):
         """Log full conditional of beta[j], up to a constant, and its memo.
 
         ``eta`` is the linear predictor at beta[j] = bj; ``root`` is
-        sqrt(lambda2) under LR-L and unused under LR-N; ``lik_bj`` is the
-        log-likelihood at bj if the caller knows it (see ``memo_logdens``).
+        sqrt(lambda2) under LR-L and unused under LR-N; ``buf`` is scratch
+        space of eta's shape.  The log-likelihood is y @ eta plus
+        (b - bj) * (y @ x_j), which is linear in b and goes with the prior,
+        minus the softplus sum, the only O(n) part and the one the memo
+        holds; ``lik_bj`` is that sum at bj if the caller knows it (see
+        ``memo_logdens``).
         """
-        xj, y = self._XT[j], self.y
-        e, t, s = np.empty_like(eta), np.empty_like(eta), np.empty_like(eta)
+        xj, yxj = self._XT[j], self._yx[j]
 
         def lik(b):
-            # sum(y * e - _log1p_exp(e)) at e = eta + (b - bj) * xj, written into
-            # e, t and s (outputs passed positionally: keywords cost more)
-            np.add(eta, np.multiply(xj, b - bj, e), e)
-            np.copysign(e, -1.0, t)  # -|e|
-            np.log1p(np.exp(t, t), t)
-            np.add(np.maximum(e, 0.0, out=s), t, t)
-            return float(np.add.reduce(np.subtract(np.multiply(y, e, s), t, s)))
+            # -sum(log(1 + exp(e))) at e = eta + (b - bj) * xj, in place in buf
+            # (outputs passed positionally: keywords cost more)
+            np.add(eta, np.multiply(xj, b - bj, buf), buf)
+            return -float(np.add.reduce(np.logaddexp(0.0, buf, buf)))
 
         if self.prior_id == "LR-N":
             b02 = self.hyper["b02"]
-            return memo_logdens(lik, lambda b: b * b / (2.0 * b02), bj, lik_bj)
-        return memo_logdens(lik, lambda b: abs(b) * root, bj, lik_bj)
+            return memo_logdens(lik, lambda b: b * b / (2.0 * b02) - (b - bj) * yxj, bj, lik_bj)
+        return memo_logdens(lik, lambda b: abs(b) * root - (b - bj) * yxj, bj, lik_bj)
 
     def gibbs_scan(self, state, rng, slice_fn):
         beta = state["beta"]
@@ -113,10 +109,11 @@ class LogisticModel(Model):
             root = math.sqrt(lam2)
         else:
             root = None
+        buf = np.empty_like(eta)
         lik = None
         for j in range(self.p):
             bj = beta[j]
-            logpdf, seen = self._beta_logdens(eta, j, bj, root, lik)
+            logpdf, seen = self._beta_logdens(eta, j, bj, root, buf, lik)
             new = slice_fn(logpdf, bj, f"beta[{j}]")
             lik = seen.get(new)
             if new != bj:
@@ -133,8 +130,9 @@ class LogisticModel(Model):
             root = None
             if self.prior_id == "LR-L":
                 root = math.sqrt(float(np.atleast_1d(params["lambda2"])[0]))
+            eta = self.X @ beta
             return ConditionalSpec.generic(
-                self._beta_logdens(self.X @ beta, j, beta[j], root)[0]
+                self._beta_logdens(eta, j, beta[j], root, np.empty_like(eta))[0]
             )
         if block == "lambda2" and self.prior_id == "LR-L":
             return ConditionalSpec.generic(self.lasso.lambda2_logpdf(beta))
