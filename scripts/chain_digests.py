@@ -4,16 +4,19 @@
 Each chain comes from ``run_experiment(ExperimentConfig(prior=...,
 n_iter=2000, n_burn=1000, seed=0))`` with the other defaults (n=100, p=4,
 H=2, thinning 2).  Each line holds the prior, the backend, the SHA-256 of
-``Chain.samples``, the SHA-256 of ``Chain.stats`` as sorted JSON, and the
+``Chain.samples``, the SHA-256 of ``Chain.stats`` as sorted JSON, the
 report's ``lpml``, ``waic`` and ``kl`` printed with ``repr`` (``kl`` is
-``None`` outside the mixture).
+``None`` outside the mixture), and the SHA-256 of the report row
+(``RunReport.row()`` as sorted JSON without the wall-clock cells ``t_s``
+and ``N_it_per_s``), which also covers ``error``, ``mean_E``,
+``per_block_E`` and ``n_divergences``.
 
 Run it before and after a change on the same machine and diff the two
-outputs: equal lines mean bit-identical draws, sampler statistics and fit
-numbers, and a line that differs only in its fit numbers shows which of
-them a diagnostics change moved and by how much.  The digests depend on
-the CPU's SIMD code paths, so outputs from different machines are not
-comparable.
+outputs: equal lines mean bit-identical draws, sampler statistics, fit
+numbers and report rows, and a line that differs only in its fit numbers
+or its row shows which of them a diagnostics or report change moved.  The
+digests depend on the CPU's SIMD code paths, so outputs from different
+machines are not comparable.
 
 Usage:
     python scripts/chain_digests.py > digests.txt
@@ -26,6 +29,8 @@ import numpy as np
 
 from mcmcbench.harness import ExperimentConfig, run_experiment
 from mcmcbench.models import PRIOR_TAGS
+
+TIMING_CELLS = ("t_s", "N_it_per_s")
 
 
 def sha256(data: bytes) -> str:
@@ -40,9 +45,11 @@ def main():
             samples = sha256(np.ascontiguousarray(chain.samples, dtype=np.float64).tobytes())
             stats = sha256(json.dumps(chain.stats, sort_keys=True).encode())
             fit = rep.fit
+            row = {k: v for k, v in rep.row().items() if k not in TIMING_CELLS}
+            row_digest = sha256(json.dumps(row, sort_keys=True, default=float).encode())
             print(
                 f"{prior:7s} {backend:5s} {samples} stats {stats}"
-                f" lpml {fit.lpml!r} waic {fit.waic!r} kl {fit.kl!r}",
+                f" lpml {fit.lpml!r} waic {fit.waic!r} kl {fit.kl!r} row {row_digest}",
                 flush=True,
             )
 

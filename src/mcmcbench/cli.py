@@ -8,14 +8,12 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import ExperimentConfig, repeated_datasets, run_experiment
-from .models import FAMILY_OF
+from .harness import ExperimentConfig, format_report, repeated_datasets, run_experiment
 from .samplers import BACKENDS
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; explicit flags win")
-    parser.add_argument("--model", help="model family (LM, LR, MM, AFT); optional check")
     parser.add_argument("--prior", help="prior tag, e.g. LM-C, LR-N, MM, AFT-NH")
     parser.add_argument("--n", type=int, help="sample size")
     parser.add_argument("--p", type=int, help="number of covariates")
@@ -32,7 +30,7 @@ def _add_common(parser):
     parser.add_argument("--nburn", type=int, dest="n_burn", help="override burn-in")
     parser.add_argument("--nthin", type=int, dest="n_thin", help="override thinning")
     parser.add_argument("--max-workers", type=int, dest="max_workers")
-    parser.add_argument("--format", choices=["csv", "json"], default=None,
+    parser.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="stdout report format (default csv); --out always "
                              "gets both report.csv and report.json")
 
@@ -68,22 +66,7 @@ def _merge_config(args) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "prior" not in values:
         raise ValueError("a prior tag is required (--prior or config file)")
-    if args.model and FAMILY_OF.get(values["prior"]) != args.model:
-        raise ValueError(
-            f"--model {args.model} does not match prior {values['prior']}"
-        )
     return ExperimentConfig(**values)
-
-
-def _print_rows(rows, fmt):
-    if fmt == "json":
-        print(json.dumps(rows, indent=2, default=float))
-        return
-    from .harness import REPORT_COLUMNS
-
-    print(",".join(REPORT_COLUMNS))
-    for row in rows:
-        print(",".join(str(row[c]) for c in REPORT_COLUMNS))
 
 
 def main(argv=None) -> int:
@@ -91,12 +74,10 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         if args.command == "sweep":
-            result = repeated_datasets(cfg)
-            rows = result["rows"]
+            reports = repeated_datasets(cfg)["rows"]
         else:
-            reports = run_experiment(cfg)
-            rows = [rep.row() for rep in reports.values()]
-        _print_rows(rows, args.format or "csv")
+            reports = list(run_experiment(cfg).values())
+        sys.stdout.write(format_report(reports, args.format))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -228,4 +228,3 @@ class FitReport:
     waic: float = None
     kl: float = None
     error: float = None
-    ci: dict = None

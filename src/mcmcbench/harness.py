@@ -9,6 +9,7 @@ runs (``repeats > 1``) regenerate the dataset with derived seeds
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -118,20 +119,19 @@ class ExperimentConfig:
         )
 
 
-def make_dataset(cfg: ExperimentConfig, dataset_index: int = 0) -> datagen.Dataset:
+def make_dataset(cfg: ExperimentConfig) -> datagen.Dataset:
     """Generate the dataset for one experiment (or one repeat of it)."""
-    seed = cfg.seed + dataset_index
     family = cfg.family
     if family == "LM":
         zero = cfg.zero_pattern if cfg.prior == "LM-L" else 0
         return datagen.gen_linear(
-            cfg.n, cfg.p, covariates=cfg.covariates, zero_pattern=zero, seed=seed
+            cfg.n, cfg.p, covariates=cfg.covariates, zero_pattern=zero, seed=cfg.seed
         )
     if family == "LR":
-        return datagen.gen_logistic(cfg.n, cfg.p, zero_pattern=cfg.zero_pattern, seed=seed)
+        return datagen.gen_logistic(cfg.n, cfg.p, zero_pattern=cfg.zero_pattern, seed=cfg.seed)
     if family == "MM":
-        return datagen.gen_mixture(cfg.n, cfg.H, seed=seed)
-    return datagen.gen_aft(cfg.n, cfg.p, cfg.k, seed=seed)
+        return datagen.gen_mixture(cfg.n, cfg.H, seed=cfg.seed)
+    return datagen.gen_aft(cfg.n, cfg.p, cfg.k, seed=cfg.seed)
 
 
 def _build_model(cfg: ExperimentConfig, dataset, backend: str):
@@ -237,6 +237,9 @@ def _diagnose(cfg: ExperimentConfig, dataset, report: RunReport) -> None:
     # latent-allocation chains are scored on the same likelihood.
     diag_model = _build_model(cfg, dataset, "nuts")
     loglik = np.vstack([diag_model.log_likelihood_draws(c.samples) for c in report.chains])
+    pooled = report.chains[0]
+    if len(report.chains) > 1:
+        pooled = replace(pooled, samples=np.vstack([c.samples for c in report.chains]))
 
     fit = diagnostics.FitReport()
     fit.lpml = diagnostics.lpml(loglik)
@@ -245,10 +248,6 @@ def _diagnose(cfg: ExperimentConfig, dataset, report: RunReport) -> None:
         truth_density = _true_mixture_density(dataset.truth)
         mu = np.asarray(dataset.truth.mixture["means"], dtype=float)
         grid = {"lo": float(mu.min() - 6.0), "hi": float(mu.max() + 6.0), "points": 2001}
-        pooled = report.chains[0]
-        if len(report.chains) > 1:
-            samples = np.vstack([c.samples for c in report.chains])
-            pooled = replace(report.chains[0], samples=samples)
         y_grid = np.linspace(grid["lo"], grid["hi"], grid["points"])
         q_vals = predictive_density(pooled, y_grid, H=cfg.H)
 
@@ -257,20 +256,8 @@ def _diagnose(cfg: ExperimentConfig, dataset, report: RunReport) -> None:
 
         fit.kl = diagnostics.kl_divergence(truth_density, q_pred, grid)
     if dataset.truth.beta is not None:
-        beta_cols = report.chain.cols_with_prefix("beta")
-        means = np.array(
-            [
-                np.mean(np.concatenate([c.col(nm) for c in report.chains]))
-                for nm in beta_cols
-            ]
-        )
+        means = [np.mean(pooled.col(nm)) for nm in pooled.cols_with_prefix("beta")]
         fit.error = diagnostics.beta_error(means, dataset.truth.beta)
-        fit.ci = {
-            nm: diagnostics.credible_interval(
-                np.concatenate([c.col(nm) for c in report.chains])
-            )
-            for nm in beta_cols
-        }
     report.fit = fit
 
 
@@ -300,7 +287,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     Returns {backend: RunReport}.  If cfg.out is set, reports are also
     written there (report.csv + report.json + one chain CSV per backend).
+    One dataset only: ``repeated_datasets`` runs several.
     """
+    if cfg.repeats != 1:
+        raise ValueError(f"run_experiment runs one dataset, not repeats={cfg.repeats}")
     dataset = make_dataset(cfg)
     reports = {}
     for backend in cfg.backends:
@@ -320,67 +310,55 @@ def repeated_datasets(cfg: ExperimentConfig) -> dict:
     """Run the experiment on R independently generated datasets.
 
     Returns {"rows": [report-row dicts], "summary": {backend: stats}} where
-    stats hold mean/sd/min/max of mean_E and N_it/t_s across datasets.
-    If cfg.out is set, writes a long-format sweep.csv (one row per
-    dataset x backend, histogram-ready) plus summary.json.
+    stats hold mean/sd/min/max of the rows' mean_E and N_it_per_s across
+    datasets.  If cfg.out is set, writes a long-format sweep.csv (one row
+    per dataset x backend, histogram-ready) plus summary.json.
     """
     rows = []
-    per_backend = {b: {"mean_E": [], "N_it_per_s": []} for b in cfg.backends}
     for r in range(cfg.repeats):
         sub = replace(cfg, seed=cfg.seed + r, repeats=1, out=None)
-        reports = run_experiment(sub)
-        for backend, rep in reports.items():
-            rows.append(rep.row())
-            if not rep.skipped:
-                per_backend[backend]["mean_E"].append(rep.ess.mean_E)
-                per_backend[backend]["N_it_per_s"].append(
-                    rep.chain.n_iter / rep.t_s
-                )
+        rows += [rep.row() for rep in run_experiment(sub).values()]
     summary = {}
-    for backend, cols in per_backend.items():
-        summary[backend] = {}
-        for key, vals in cols.items():
-            arr = np.asarray(vals, dtype=float)
-            if arr.size == 0:
-                continue
-            summary[backend][key] = {
-                "mean": float(arr.mean()),
-                "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-                "min": float(arr.min()),
-                "max": float(arr.max()),
-            }
+    for backend in cfg.backends:
+        done = [row for row in rows if row["backend"] == backend and row["mean_E"] != "-"]
+        summary[backend] = {key: _spread([row[key] for row in done])
+                            for key in ("mean_E", "N_it_per_s") if done}
     if cfg.out is not None:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_rows_csv(rows, out / "sweep.csv")
+        emit_report(rows, out / "sweep.csv")
         (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return {"rows": rows, "summary": summary}
 
 
-def _format_cell(val):
-    if isinstance(val, float):
-        return repr(val)
-    return str(val)
+def _spread(vals) -> dict:
+    arr = np.asarray(vals, dtype=float)
+    return {
+        "mean": float(arr.mean()),
+        "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+        "min": float(arr.min()),
+        "max": float(arr.max()),
+    }
 
 
-def _write_rows_csv(rows, path):
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in REPORT_COLUMNS])
-
-
-def emit_report(reports, path, fmt="csv"):
-    """Serialize RunReports (or prebuilt row dicts) to CSV or JSON."""
+def format_report(reports, fmt="csv") -> str:
+    """CSV or JSON text of RunReports (or prebuilt row dicts), for files and stdout."""
     if not reports:
         raise ValueError("no reports to emit")
     rows = [r.row() if isinstance(r, RunReport) else r for r in reports]
-    path = Path(path)
-    if fmt == "csv":
-        _write_rows_csv(rows, path)
-    elif fmt == "json":
-        path.write_text(json.dumps(rows, indent=2, default=float))
-    else:
+    if fmt == "json":
+        return json.dumps(rows, indent=2, default=float)
+    if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows([row[c] for c in REPORT_COLUMNS] for row in rows)
+    return text.getvalue()
+
+
+def emit_report(reports, path, fmt="csv"):
+    """Write ``format_report(reports, fmt)`` to path."""
+    path = Path(path)
+    path.write_text(format_report(reports, fmt), newline="")
     return path

@@ -146,17 +146,23 @@ class AFTModel(Model):
         return memo_logdens(lik, lambda b: b * b / (2.0 * var) + (b - bj) * dx, bj, lik_bj)
 
     def _sigma_logdens(self, logy, delta, eta):
-        """Log density of sigma given beta, up to a constant; data as for beta[j]."""
+        """Log density of sigma given beta, up to a constant; data as for beta[j].
+
+        The event term delta @ (logy - eta) / s takes one dot product, done
+        here; only the cumulative hazard sum stays O(n), computed in a
+        scratch buffer.
+        """
         h = self.hyper
         n_events = float(delta.sum())
+        event_resid = float(delta @ (logy - eta))
+        buf = np.empty_like(eta)
 
         def logpdf(s):
             if s <= 0:
                 return -math.inf
             if self.prior_id == "AFT-NI" and s >= h["sigma0"]:
                 return -math.inf
-            A = _cum_hazard(logy, eta, s)
-            lik = float((delta * ((1.0 / s) * (logy - eta)) - A).sum())
+            lik = event_resid / s - float(np.add.reduce(_cum_hazard(logy, eta, s, buf)))
             lik -= n_events * math.log(s)
             if self.prior_id == "AFT-NH":
                 lik -= h["lambda0"] * s

@@ -190,16 +190,18 @@ def test_mixture_report_has_kl_and_no_error():
 
 
 def test_cli_run(tmp_path, capsys):
-    code = cli_main([
-        "run", "--prior", "LM-C", "--n", "30", "--p", "3", "--seed", "1",
-        "--niter", "300", "--nburn", "100", "--backends", "gibbs",
-        "--out", str(tmp_path / "o"),
-    ])
-    assert code == 0
+    # stdout carries the text of the report file, line ends included
+    args = ["run", "--prior", "LM-C", "--n", "30", "--p", "3", "--seed", "1",
+            "--niter", "300", "--nburn", "100", "--backends", "gibbs,nuts"]
+    assert cli_main(args + ["--out", str(tmp_path / "o")]) == 0
     out = capsys.readouterr().out
     assert out.startswith(",".join(REPORT_COLUMNS[:3]))
-    assert (tmp_path / "o" / "report.csv").exists()
+    assert out == (tmp_path / "o" / "report.csv").read_bytes().decode()
     assert (tmp_path / "o" / "report.json").exists()
+    assert cli_main(args + ["--out", str(tmp_path / "j"), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (tmp_path / "j" / "report.json").read_bytes().decode()
+    assert [row["backend"] for row in json.loads(out)] == ["gibbs", "nuts"]
 
 
 def test_cli_sweep(capsys):
@@ -248,6 +250,14 @@ def test_cli_error_is_machine_readable(capsys):
     assert "error" in err and "message" in err
 
 
-def test_cli_model_mismatch(capsys):
-    code = cli_main(["run", "--prior", "LM-C", "--model", "LR"])
-    assert code != 0
+def test_cli_run_rejects_repeats(tmp_path, capsys):
+    # run takes one dataset; a config asking for repeats belongs to sweep
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "prior": "LM-C", "n": 30, "p": 3, "n_iter": 300, "n_burn": 100,
+        "backends": "gibbs", "repeats": 2,
+    }))
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeats" in json.loads(captured.err)["message"]

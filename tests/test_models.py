@@ -543,6 +543,24 @@ def test_slice_conditional_matches_posterior_differences(prior, j):
         assert abs(got - (lp1 - lp2)) <= 1e-12 * max(abs(lp1), abs(lp2)), (b1, b2)
 
 
+@pytest.mark.parametrize("prior", ["LM-WI", "LM-NI", "AFT-NH", "AFT-NI"])
+def test_sigma_conditional_matches_posterior_differences(prior):
+    # the sigma density Gibbs slices on differs from the joint density by a
+    # constant in sigma: a wrong event term or hazard sum shows here
+    model = build(prior, seed=17, n=40, p=4)
+    beta = rng(18).normal(0.0, 0.5, 4)
+    logpdf = model.full_conditional("sigma", {"beta": beta, "sigma": np.array([1.0])}).logpdf
+
+    def log_post(s):
+        params = {"beta": beta, "sigma": np.array([s])}
+        return model.log_likelihood_pointwise(params).sum() + model.log_prior(params)
+
+    for s1, s2 in [(0.4, 1.0), (0.8, 2.5), (1.7, 0.95)]:
+        lp1, lp2 = log_post(s1), log_post(s2)
+        got = logpdf(s1) - logpdf(s2)
+        assert abs(got - (lp1 - lp2)) <= 1e-12 * max(abs(lp1), abs(lp2)), (s1, s2)
+
+
 @pytest.mark.parametrize("prior", ["LR-N", "LR-L", "AFT-NH"])
 def test_slice_memo_handoff_is_exact(monkeypatch, prior):
     # the sum a coordinate hands to the next must equal the one the next
