@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from . import datagen, diagnostics, distributions, models, params, samplers
+from . import datagen, diagnostics, models, params, samplers
 from .harness import ExperimentConfig, run_experiment
 
 __all__ = [
     "ExperimentConfig",
     "datagen",
     "diagnostics",
-    "distributions",
     "models",
     "params",
     "run_experiment",

@@ -12,11 +12,8 @@ Covariates are iid standard normal with the first column pinned to 1
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +24,7 @@ __all__ = [
     "gen_logistic",
     "gen_mixture",
     "gen_aft",
-    "dataset_to_csv",
+    "check_design",
 ]
 
 LOG2 = math.log(2.0)
@@ -51,18 +48,6 @@ class GroundTruth:
     mixture: dict | None = None  # keys: weights, means, sds
     censoring_target: float | None = None
 
-    def to_jsonable(self) -> dict:
-        out = {}
-        if self.beta is not None:
-            out["beta"] = list(map(float, self.beta))
-        if self.sigma2 is not None:
-            out["sigma2"] = float(self.sigma2)
-        if self.mixture is not None:
-            out["mixture"] = {k: list(map(float, v)) for k, v in self.mixture.items()}
-        if self.censoring_target is not None:
-            out["censoring_target"] = float(self.censoring_target)
-        return out
-
 
 @dataclass
 class Dataset:
@@ -80,6 +65,38 @@ class Dataset:
         return 0 if self.X is None else self.X.shape[1]
 
 
+def check_design(
+    n: int,
+    p: int = 1,
+    covariates: str = "continuous",
+    zero_pattern: int = 0,
+    H: int | None = None,
+    k: float | None = None,
+    seed: int = 0,
+) -> None:
+    """Raise ``ConfigurationError`` unless the ``gen_*`` functions can draw this design.
+
+    Takes the arguments of any ``gen_*`` function; ``H`` and ``k`` are
+    checked only when given.
+    """
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if p < 1:
+        raise ConfigurationError(f"p must be >= 1, got {p}")
+    if not 0 <= zero_pattern < p:
+        raise ConfigurationError(f"zero_pattern must be in [0, p={p}), got {zero_pattern}")
+    if covariates not in ("continuous", "binary"):
+        raise ConfigurationError(f"unknown covariate kind {covariates!r}")
+    if covariates == "binary" and p != 50 and p not in BINARY_SCHEDULES:
+        raise ConfigurationError(f"binary covariates not defined for p={p}")
+    if H is not None and H not in (2, 4):
+        raise ConfigurationError(f"H must be 2 or 4, got {H}")
+    if k is not None and not 0.0 < k < 1.0:
+        raise ConfigurationError(f"censoring fraction k must be in (0, 1), got {k}")
+
+
 def _streams(seed: int, n_streams: int = 4):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_streams)]
 
@@ -87,8 +104,6 @@ def _streams(seed: int, n_streams: int = 4):
 def _draw_beta(rng, p: int, lo: float, hi: float, zero_pattern: int) -> np.ndarray:
     beta = rng.uniform(lo, hi, size=p)
     if zero_pattern:
-        if zero_pattern >= p:
-            raise ConfigurationError("zero_pattern must be < p")
         # zero the trailing non-intercept coefficients
         beta[p - zero_pattern :] = 0.0
     return beta
@@ -99,16 +114,12 @@ def _draw_X(rng, n: int, p: int, covariates: str) -> np.ndarray:
     X[:, 0] = 1.0
     if covariates == "continuous":
         X[:, 1:] = rng.standard_normal((n, p - 1))
-    elif covariates == "binary":
+    else:
         if p == 50:
             probs = rng.uniform(0.05, 0.95, size=p - 1)
-        elif p in BINARY_SCHEDULES:
-            probs = np.asarray(BINARY_SCHEDULES[p])
         else:
-            raise ConfigurationError(f"binary covariates not defined for p={p}")
+            probs = np.asarray(BINARY_SCHEDULES[p])
         X[:, 1:] = (rng.random((n, p - 1)) < probs).astype(float)
-    else:
-        raise ConfigurationError(f"unknown covariate kind {covariates!r}")
     return X
 
 
@@ -120,6 +131,7 @@ def gen_linear(
     seed: int = 0,
 ) -> Dataset:
     """Gaussian linear regression data y ~ N(x'beta, sigma2)."""
+    check_design(n, p, covariates, zero_pattern, seed=seed)
     r_beta, r_sig, r_x, r_noise = _streams(seed)
     beta = _draw_beta(r_beta, p, -7.0, 7.0, zero_pattern)
     sigma2 = r_sig.uniform(2.0, 10.0)
@@ -130,6 +142,7 @@ def gen_linear(
 
 def gen_logistic(n: int, p: int, zero_pattern: int = 0, seed: int = 0) -> Dataset:
     """Binary data y ~ Bernoulli(sigmoid(x'beta))."""
+    check_design(n, p, zero_pattern=zero_pattern, seed=seed)
     r_beta, _, r_x, r_noise = _streams(seed)
     beta = _draw_beta(r_beta, p, -7.0, 7.0, zero_pattern)
     X = _draw_X(r_x, n, p, "continuous")
@@ -140,14 +153,13 @@ def gen_logistic(n: int, p: int, zero_pattern: int = 0, seed: int = 0) -> Datase
 
 def gen_mixture(n: int, H: int, seed: int = 0) -> Dataset:
     """Equal-weight univariate Gaussian mixture data, unit component sd."""
+    check_design(n, H=H, seed=seed)
     if H == 2:
         r_mu, _, _, r_noise = _streams(seed)
         mu = np.array([r_mu.uniform(-2.0, 0.0), r_mu.uniform(1.0, 3.0)])
-    elif H == 4:
+    else:
         _, _, _, r_noise = _streams(seed)
         mu = np.array([-4.0, 0.0, 2.0, 6.0])
-    else:
-        raise ConfigurationError("H must be 2 or 4")
     weights = np.full(H, 1.0 / H)
     z = r_noise.integers(0, H, size=n)
     y = mu[z] + r_noise.standard_normal(n)
@@ -164,8 +176,7 @@ def gen_aft(n: int, p: int, k: float, seed: int = 0) -> Dataset:
     censoring times use the same shape with the rate scaled by k/(1-k),
     which censors a fraction k of observations on average.
     """
-    if not 0.0 < k < 1.0:
-        raise ConfigurationError("censoring fraction k must be in (0, 1)")
+    check_design(n, p, k=k, seed=seed)
     r_beta, r_sig, r_x, r_noise = _streams(seed)
     beta = _draw_beta(r_beta, p, -1.0, 1.0, 0)
     sigma2 = r_sig.uniform(2.0, 10.0)
@@ -180,23 +191,3 @@ def gen_aft(n: int, p: int, k: float, seed: int = 0) -> Dataset:
     truth = GroundTruth(beta=beta, sigma2=sigma2, censoring_target=k)
     return Dataset(y=y, X=X, delta=delta, truth=truth)
 
-
-def dataset_to_csv(ds: Dataset, path: str | Path) -> None:
-    """Write observations as CSV plus a ground-truth JSON sidecar."""
-    path = Path(path)
-    header = ["y"]
-    if ds.delta is not None:
-        header.append("delta")
-    header.extend(f"x{j + 1}" for j in range(ds.p))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(ds.y[i]))]
-            if ds.delta is not None:
-                row.append(str(int(ds.delta[i])))
-            if ds.X is not None:
-                row.extend(repr(float(v)) for v in ds.X[i])
-            writer.writerow(row)
-    sidecar = path.with_suffix(path.suffix + ".truth.json")
-    sidecar.write_text(json.dumps(ds.truth.to_jsonable(), indent=2))

@@ -7,7 +7,7 @@ so it is safe to call concurrently from the harness.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -77,7 +77,6 @@ class EssReport:
     per_param_E: np.ndarray
     mean_E: float
     n_samples: int
-    raw_E: np.ndarray = field(default=None, repr=False)  # pre-clamp values
 
 
 def ess_report(chain, subset=None):
@@ -85,8 +84,7 @@ def ess_report(chain, subset=None):
 
     ``subset`` is a list of column names, a name prefix (e.g. "beta"), or
     None for every column.  Values are clamped to 1.0 (estimator noise can
-    exceed it slightly on thinned chains); the raw values are kept on the
-    report for inspection.
+    exceed it slightly on thinned chains).
     """
     if chain.n_thin != 2:
         warnings.warn(
@@ -109,7 +107,6 @@ def ess_report(chain, subset=None):
         per_param_E=clamped,
         mean_E=float(clamped.mean()),
         n_samples=chain.n_samples,
-        raw_E=raw,
     )
 
 

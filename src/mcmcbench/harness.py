@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ValueError("chains must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError("max_workers must be None or >= 1")
+        datagen.check_design(**_dataset_args(self))  # the design make_dataset will draw
         if isinstance(self.backends, str):
             self.backends = tuple(s for s in self.backends.split(",") if s)
         if not self.backends:
@@ -119,19 +122,33 @@ class ExperimentConfig:
         )
 
 
-def make_dataset(cfg: ExperimentConfig) -> datagen.Dataset:
-    """Generate the dataset for one experiment (or one repeat of it)."""
+_GENERATORS = {
+    "LM": datagen.gen_linear,
+    "LR": datagen.gen_logistic,
+    "MM": datagen.gen_mixture,
+    "AFT": datagen.gen_aft,
+}
+
+
+def _dataset_args(cfg: ExperimentConfig) -> dict:
+    """Keyword arguments of the family's ``datagen.gen_*`` call."""
     family = cfg.family
+    if family == "MM":
+        return {"n": cfg.n, "H": cfg.H, "seed": cfg.seed}
+    args = {"n": cfg.n, "p": cfg.p, "seed": cfg.seed}
     if family == "LM":
         zero = cfg.zero_pattern if cfg.prior == "LM-L" else 0
-        return datagen.gen_linear(
-            cfg.n, cfg.p, covariates=cfg.covariates, zero_pattern=zero, seed=cfg.seed
-        )
-    if family == "LR":
-        return datagen.gen_logistic(cfg.n, cfg.p, zero_pattern=cfg.zero_pattern, seed=cfg.seed)
-    if family == "MM":
-        return datagen.gen_mixture(cfg.n, cfg.H, seed=cfg.seed)
-    return datagen.gen_aft(cfg.n, cfg.p, cfg.k, seed=cfg.seed)
+        args.update(covariates=cfg.covariates, zero_pattern=zero)
+    elif family == "LR":
+        args["zero_pattern"] = cfg.zero_pattern
+    else:
+        args["k"] = cfg.k
+    return args
+
+
+def make_dataset(cfg: ExperimentConfig) -> datagen.Dataset:
+    """Generate the dataset for one experiment (or one repeat of it)."""
+    return _GENERATORS[cfg.family](**_dataset_args(cfg))
 
 
 def _build_model(cfg: ExperimentConfig, dataset, backend: str):

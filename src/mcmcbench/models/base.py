@@ -14,9 +14,9 @@ Every model exposes the same surface to the samplers:
   updates; conjugate blocks are drawn exactly, the rest take one slice
   step through the injected ``slice_fn``
 - ``full_conditional(block, params)``: a block's conditional as a closed
-  form distribution or a generic 1-D log density.  It is built from the
-  same private helpers that ``gibbs_scan`` draws from, so checking it
-  checks the parameters of the scan's updates.
+  form family with its parameters or a generic 1-D log density.  It is
+  built from the same private helpers that ``gibbs_scan`` draws from, so
+  checking it checks the parameters of the scan's updates.
 
 Latent-allocation models additionally carry a discrete state vector z
 handled via ``resample_latent``; their continuous conditional is
@@ -34,21 +34,38 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..datagen import Dataset
-from ..distributions import Distribution, UnsupportedOperationError
 from ..params import ParamSpace
+
+
+class UnsupportedOperationError(RuntimeError):
+    """Raised when a model is asked for an operation it does not have."""
 
 
 @dataclass
 class ConditionalSpec:
-    """Full-conditional description of one parameter block."""
+    """Full-conditional description of one parameter block.
+
+    A closed-form spec names its ``family`` and holds its parameters as
+    plain floats or arrays in ``params``:
+
+    - ``InverseGamma``: ``alpha`` (shape), ``beta`` (scale), density
+      beta^alpha / Gamma(alpha) x^-(alpha+1) exp(-beta/x)
+    - ``Gaussian``: ``mean``, ``var`` (variance)
+    - ``MvGaussian``: ``mean``, ``cov``
+    - ``Dirichlet``: ``alpha`` (concentrations)
+    - ``Categorical``: ``p`` (probabilities)
+
+    A generic spec holds the 1-D log density ``logpdf``, up to a constant.
+    """
 
     kind: str  # "closed_form" | "generic"
-    dist: Distribution | None = None
+    family: str | None = None
+    params: dict | None = None
     logpdf: Callable[[float], float] | None = None
 
     @classmethod
-    def closed_form(cls, dist: Distribution) -> "ConditionalSpec":
-        return cls(kind="closed_form", dist=dist)
+    def closed_form(cls, family: str, **params) -> "ConditionalSpec":
+        return cls(kind="closed_form", family=family, params=params)
 
     @classmethod
     def generic(cls, logpdf: Callable[[float], float]) -> "ConditionalSpec":

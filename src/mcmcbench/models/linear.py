@@ -21,12 +21,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from ..datagen import Dataset
-from ..distributions import InverseGamma, MvGaussian, UnsupportedOperationError
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
 from .base import (
     ConditionalSpec,
     LassoPrior,
     Model,
+    UnsupportedOperationError,
     gaussian_loglik,
     gaussian_prior,
     ig_logpdf,
@@ -266,16 +266,15 @@ class LinearModel(Model):
         beta = np.asarray(params["beta"], dtype=float)
         if block == "sigma2" and self.prior_id in ("LM-C", "LM-L"):
             a, b = self._sigma2_ab(beta, self.y - self.X @ beta)
-            return ConditionalSpec.closed_form(InverseGamma(a, b))
+            return ConditionalSpec.closed_form("InverseGamma", alpha=a, beta=b)
         if block == "beta" and self.prior_id == "LM-C":
             s2 = float(np.atleast_1d(params["sigma2"])[0])
-            return ConditionalSpec.closed_form(MvGaussian(self._beta_hat, s2 * self._V))
+            return ConditionalSpec.closed_form("MvGaussian", mean=self._beta_hat, cov=s2 * self._V)
         if self.prior_id in ("LM-WI", "LM-NI"):
             if block == "beta":
                 cA, mean = self._beta_given_sigma(float(np.atleast_1d(params["sigma"])[0]))
-                return ConditionalSpec.closed_form(
-                    MvGaussian(mean, cho_solve(cA, np.eye(self.p)))
-                )
+                cov = cho_solve(cA, np.eye(self.p))
+                return ConditionalSpec.closed_form("MvGaussian", mean=mean, cov=cov)
             if block == "sigma":
                 r = self.y - self.X @ beta
                 rr = float(r @ r)

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..datagen import Dataset
-from ..distributions import Categorical, Dirichlet, Gaussian, InverseGamma
 from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax
 from .base import ConditionalSpec, Model, ig_logpdf, merge_hyper
 
@@ -260,7 +259,7 @@ class MixtureModel(Model):
         if block.startswith("z["):
             i = int(block[2:-1])
             w = self._allocation_probs(params)[:, i]
-            return ConditionalSpec.closed_form(Categorical(w))
+            return ConditionalSpec.closed_form("Categorical", p=w)
         z = params.get("z")
         if z is None:
             raise KeyError("conditionals for continuous blocks need z in params")
@@ -270,15 +269,16 @@ class MixtureModel(Model):
         if block.startswith("mu["):
             k = int(block[3:-1])
             mean, prec = self._mu_given(z, counts, s, float(np.atleast_1d(params["v2"])[0]))
-            return ConditionalSpec.closed_form(Gaussian(mean[k], 1.0 / prec[k]))
+            return ConditionalSpec.closed_form("Gaussian", mean=mean[k], var=1.0 / prec[k])
         if block.startswith("sigma2["):
             k = int(block[7:-1])
             a, b = self._sigma2_given(z, counts, mu)
-            return ConditionalSpec.closed_form(InverseGamma(a[k], b[k]))
+            return ConditionalSpec.closed_form("InverseGamma", alpha=a[k], beta=b[k])
         if block == "v2":
-            return ConditionalSpec.closed_form(InverseGamma(*self._v2_given(mu)))
+            a, b = self._v2_given(mu)
+            return ConditionalSpec.closed_form("InverseGamma", alpha=a, beta=b)
         if block == "p":
-            return ConditionalSpec.closed_form(Dirichlet(self._p_given(counts)))
+            return ConditionalSpec.closed_form("Dirichlet", alpha=self._p_given(counts))
         raise KeyError(f"no conditional for block {block!r}")
 
 

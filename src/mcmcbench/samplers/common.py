@@ -60,7 +60,6 @@ class Chain:
     n_burn: int
     n_thin: int
     t_s: float
-    constrained: bool = True
     stats: dict = field(default_factory=dict)
 
     @property
@@ -83,7 +82,6 @@ class Chain:
             "n_thin": self.n_thin,
             "n_samples": self.n_samples,
             "t_s": self.t_s,
-            "constrained": self.constrained,
             "stats": self.stats,
         }
 

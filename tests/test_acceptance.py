@@ -126,11 +126,26 @@ def test_7_property_suite():
     ok = True
     rng = np.random.default_rng(7)
 
-    # density normalization
-    from mcmcbench.distributions import Gaussian, Weibull
+    # density normalization: the likelihood of one observation integrates to 1
+    # over y, for a two-component mixture and an uncensored AFT time
+    mix = {
+        "mu": np.array([-1.0, 2.5]),
+        "sigma2": np.array([0.6, 2.0]),
+        "v2": np.array([1.0]),
+        "p": np.array([0.3, 0.7]),
+    }
+    aft = {"beta": np.array([0.2, -0.4]), "sigma": np.array([0.7])}
 
-    for dist, lo, hi in [(Gaussian(0.3, 1.7), -20, 20), (Weibull(1.4, 0.8), 0, 60)]:
-        mass, _ = quad(lambda x: math.exp(dist.log_density(x)), lo, hi)
+    def mm_lik(y):
+        model = get_model("MM", datagen.Dataset(y=np.array([y])), H=2)
+        return math.exp(model.log_likelihood_pointwise(mix)[0])
+
+    def aft_lik(y):
+        ds = datagen.Dataset(y=np.array([y]), X=np.array([[1.0, 0.5]]), delta=np.array([1]))
+        return math.exp(get_model("AFT-NH", ds).log_likelihood_pointwise(aft)[0])
+
+    for lik, lo, hi in [(mm_lik, -20, 20), (aft_lik, 0, 60)]:
+        mass, _ = quad(lik, lo, hi)
         if abs(mass - 1.0) > 1e-6:
             ok = False
 

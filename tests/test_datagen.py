@@ -128,19 +128,3 @@ def test_aft_invalid_k():
     with pytest.raises(datagen.ConfigurationError):
         datagen.gen_aft(10, 4, 1.5, seed=0)
 
-
-def test_csv_export_round_trip(tmp_path):
-    ds = datagen.gen_aft(20, 3, 0.5, seed=3)
-    path = tmp_path / "data.csv"
-    datagen.dataset_to_csv(ds, path)
-    rows = np.genfromtxt(path, delimiter=",", names=True)
-    assert rows.shape == (20,)
-    np.testing.assert_allclose(rows["y"], ds.y, rtol=1e-15)
-    np.testing.assert_allclose(rows["delta"], ds.delta)
-    np.testing.assert_allclose(rows["x2"], ds.X[:, 1], rtol=1e-15)
-    sidecar = path.with_suffix(".csv.truth.json")
-    assert sidecar.exists()
-    import json
-
-    truth = json.loads(sidecar.read_text())
-    np.testing.assert_allclose(truth["beta"], ds.truth.beta)

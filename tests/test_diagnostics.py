@@ -154,12 +154,12 @@ def test_ess_report_warns_off_thinning():
 
 
 def test_ess_report_clamps_and_keeps_raw():
-    # strongly antithetic series can push the raw estimate above 1
+    # strongly antithetic series push the raw estimate above 1; the report clamps it
     x = -np.cumsum(np.tile([1.0, -1.0], 2000)) + rng(12).standard_normal(4000)
     chain = make_chain(x, ["a"])
     rep = dg.ess_report(chain, "a")
-    assert rep.per_param_E[0] <= 1.0
-    assert rep.raw_E[0] >= rep.per_param_E[0]
+    assert dg.ess(x) / x.size > 1.0
+    assert rep.per_param_E[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

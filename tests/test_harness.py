@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mcmcbench import harness
 from mcmcbench.cli import _merge_config, build_parser
 from mcmcbench.cli import main as cli_main
 from mcmcbench.harness import (
@@ -43,6 +44,26 @@ def test_config_validation():
         ExperimentConfig(prior="LM-C", n_iter=500)
     with pytest.raises(ValueError):
         ExperimentConfig(prior="LM-C", n_iter=300, n_burn=100, n_thin=3)
+
+
+BAD_DESIGNS = {
+    "MM-H3": ({"prior": "MM", "H": 3}, "H must be"),
+    "AFT-k1.5": ({"prior": "AFT-NH", "k": 1.5}, "censoring fraction"),
+    "covariates-x": ({"prior": "LM-C", "covariates": "x"}, "covariate kind"),
+    "binary-p5": ({"prior": "LM-WI", "covariates": "binary", "p": 5}, "binary covariates"),
+    "zero-pattern-p": ({"prior": "LR-L", "zero_pattern": 4, "p": 4}, "zero_pattern"),
+    "n0": ({"prior": "MM", "n": 0}, "n must be"),
+    "seed-1": ({"prior": "LR-N", "seed": -1}, "seed must be"),
+    "workers-2": ({"prior": "LM-C", "max_workers": -2}, "max_workers"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DESIGNS))
+def test_bad_design_fails_at_config(case):
+    # every design make_dataset or the worker pool would reject fails here first
+    kw, message = BAD_DESIGNS[case]
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kw)
 
 
 def test_schedule_defaults():
@@ -248,6 +269,15 @@ def test_cli_error_is_machine_readable(capsys):
     assert code != 0
     err = json.loads(capsys.readouterr().err)
     assert "error" in err and "message" in err
+
+
+def test_cli_bad_design_samples_nothing(monkeypatch, capsys):
+    sampled = []
+    monkeypatch.setattr(harness, "run_backend_sampler", lambda *a, **kw: sampled.append(a))
+    assert cli_main(["run", "--prior", "LM-C", "--n", "0", "--backends", "gibbs"]) == 1
+    captured = capsys.readouterr()
+    assert sampled == [] and captured.out == ""
+    assert "n must be >= 1" in json.loads(captured.err)["message"]
 
 
 def test_cli_run_rejects_repeats(tmp_path, capsys):

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from mcmcbench import datagen, distributions as di
+from mcmcbench import datagen
 from mcmcbench.models import get_model
+from mcmcbench.models.base import UnsupportedOperationError
 from mcmcbench.models.linear import HYPER_DEFAULTS
 
 
@@ -152,7 +154,7 @@ def test_latent_mixture_has_no_gradient():
     ds = datagen.gen_mixture(20, 2, seed=0)
     model = get_model("MM", ds, H=2, parameterization="latent")
     assert not model.has_gradient
-    with pytest.raises(di.UnsupportedOperationError):
+    with pytest.raises(UnsupportedOperationError):
         model.logp_and_grad(model.initial_u())
 
 
@@ -176,9 +178,9 @@ def test_lmc_hand_value_single_obs():
     h = HYPER_DEFAULTS["LM-C"]
     u = model.space.unconstrain({"beta": np.array([0.0]), "sigma2": np.array([1.0])})
     expected = (
-        di.Gaussian(0.0, 1.0).log_density(0.0)
-        + di.Gaussian(0.0, 1.0).log_density(0.0)
-        + di.InverseGamma(h["eta0"] / 2.0, h["eta0"] * h["sigma02"] / 2.0).log_density(1.0)
+        stats.norm.logpdf(0.0)
+        + stats.norm.logpdf(0.0)
+        + stats.invgamma.logpdf(1.0, h["eta0"] / 2.0, scale=h["eta0"] * h["sigma02"] / 2.0)
         + 0.0
     )
     assert model.log_posterior_u(u) == pytest.approx(expected, abs=1e-10)
@@ -216,15 +218,10 @@ def test_aft_uncensored_matches_weibull_density():
     beta = np.array([0.2, -0.1, 0.4])
     sigma = 1.3
     pw = model.log_likelihood_pointwise({"beta": beta, "sigma": np.array([sigma])})
-    eta = ds.X @ beta
-    expected = np.array(
-        [
-            di.Weibull(1.0 / sigma, math.log(2.0) * math.exp(-eta[i] / sigma)).log_density(
-                ds.y[i]
-            )
-            for i in range(ds.n)
-        ]
-    )
+    # T ~ Weibull with density a l t^(a-1) exp(-l t^a), a = 1/sigma and
+    # l = log(2) exp(-x'beta/sigma): scipy's weibull_min with scale l^(-sigma)
+    lam = math.log(2.0) * np.exp(-(ds.X @ beta) / sigma)
+    expected = stats.weibull_min.logpdf(ds.y, 1.0 / sigma, scale=lam**-sigma)
     np.testing.assert_allclose(pw, expected, atol=1e-10)
 
 
@@ -268,7 +265,7 @@ def test_mm_pointwise_identical_components():
         "p": np.array([0.5, 0.5]),
     }
     pw = model.log_likelihood_pointwise(params)
-    assert pw[0] == pytest.approx(di.Gaussian(0, 1).log_density(0.0), abs=1e-12)
+    assert pw[0] == pytest.approx(stats.norm.logpdf(0.0), abs=1e-12)
 
 
 def test_mixture_marginal_equals_latent_brute_force():
@@ -337,18 +334,11 @@ def test_mixture_batched_pointwise_matches_per_draw_rows(H):
 # full conditionals
 
 
-def test_lmc_sigma2_conditional_closed_form():
-    ds = datagen.gen_linear(40, 3, seed=12)
-    model = get_model("LM-C", ds)
-    h = HYPER_DEFAULTS["LM-C"]
-    beta = np.array([0.3, -1.0, 0.5])
-    spec = model.full_conditional("sigma2", {"beta": beta, "sigma2": np.array([1.0])})
-    assert spec.kind == "closed_form"
-    r = ds.y - ds.X @ beta
-    assert spec.dist.alpha == pytest.approx((h["eta0"] + 40 + 3) / 2.0)
-    assert spec.dist.beta == pytest.approx(
-        (h["eta0"] * h["sigma02"] + r @ r + beta @ beta) / 2.0
-    )
+def _closed(model, block, params, family):
+    """The parameters of ``block``'s closed-form conditional, checking its family."""
+    spec = model.full_conditional(block, params)
+    assert (spec.kind, spec.family) == ("closed_form", family)
+    return spec.params
 
 
 def test_lrn_beta_conditional_generic():
@@ -358,25 +348,43 @@ def test_lrn_beta_conditional_generic():
     assert math.isfinite(spec.logpdf(0.2))
 
 
-def test_mm_latent_z_conditional_enumeration():
-    ds = datagen.gen_mixture(5, 2, seed=14)
-    model = get_model("MM", ds, H=2, parameterization="latent")
-    params = {
-        "mu": np.array([-1.0, 1.0]),
-        "sigma2": np.array([1.0, 2.0]),
-        "v2": np.array([1.0]),
-        "p": np.array([0.3, 0.7]),
-        "z": np.zeros(5, dtype=int),
-    }
-    spec = model.full_conditional("z[2]", params)
-    assert spec.kind == "closed_form"
-    w = np.array(
-        [
-            params["p"][h] * math.exp(di.Gaussian(params["mu"][h], params["sigma2"][h]).log_density(ds.y[2]))
-            for h in range(2)
-        ]
+def _lm_c_sigma2():
+    ds = datagen.gen_linear(40, 3, seed=12)
+    model = get_model("LM-C", ds)
+    h = HYPER_DEFAULTS["LM-C"]
+    beta = np.array([0.3, -1.0, 0.5])
+    got = _closed(model, "sigma2", {"beta": beta, "sigma2": np.array([1.0])}, "InverseGamma")
+    r = ds.y - ds.X @ beta
+    want_b = (h["eta0"] * h["sigma02"] + math.fsum(r * r) + math.fsum(beta * beta)) / 2.0
+    return [got["alpha"], got["beta"]], [(h["eta0"] + 40 + 3) / 2.0, want_b]
+
+
+def _mvgaussian(got, mean, cov):
+    """(got, want) of an MvGaussian's mean and covariance, the covariance scaled to 1."""
+    scale = np.abs(cov).max()
+    return (
+        np.concatenate([got["mean"], got["cov"].ravel() / scale]),
+        np.concatenate([mean, cov.ravel() / scale]),
     )
-    np.testing.assert_allclose(spec.dist.p, w / w.sum(), atol=1e-12)
+
+
+def _lm_c_beta():
+    ds = datagen.gen_linear(40, 3, seed=25)
+    model = get_model("LM-C", ds)
+    s2 = 1.7
+    V = np.linalg.inv(ds.X.T @ ds.X + np.eye(3))
+    got = _closed(model, "beta", {"beta": np.zeros(3), "sigma2": np.array([s2])}, "MvGaussian")
+    return _mvgaussian(got, V @ (ds.X.T @ ds.y), s2 * V)
+
+
+def _lm_sigma_beta(prior):
+    ds = datagen.gen_linear(40, 3, seed=24)
+    model = get_model(prior, ds)
+    sig = 1.3
+    precision = ds.X.T @ ds.X / sig**2 + np.eye(3) / model.hyper["M"] ** 2
+    cov = np.linalg.inv(precision)
+    got = _closed(model, "beta", {"beta": np.zeros(3), "sigma": np.array([sig])}, "MvGaussian")
+    return _mvgaussian(got, cov @ (ds.X.T @ ds.y) / sig**2, cov)
 
 
 def _mm_state():
@@ -393,6 +401,14 @@ def _mm_state():
     return model, params
 
 
+def _mm_z():
+    # enumerate the allocations of one observation
+    model, prm = _mm_state()
+    got = _closed(model, "z[2]", prm, "Categorical")["p"]
+    w = prm["p"] * stats.norm.pdf(model.y[2], prm["mu"], np.sqrt(prm["sigma2"]))
+    return got, w / w.sum()
+
+
 def _mm_mu():
     model, prm = _mm_state()
     got, want = [], []
@@ -400,8 +416,8 @@ def _mm_mu():
         yk = model.y[prm["z"] == k]
         s = prm["sigma2"][k]
         prec = yk.size / s + 1.0 / prm["v2"][0]
-        dist = model.full_conditional(f"mu[{k}]", prm).dist
-        got += [dist.mu, dist.sigma2]
+        par = _closed(model, f"mu[{k}]", prm, "Gaussian")
+        got += [par["mean"], par["var"]]
         want += [math.fsum(yk) / s / prec, 1.0 / prec]
     return got, want
 
@@ -412,8 +428,8 @@ def _mm_sigma2():
     got, want = [], []
     for k in range(4):
         yk = model.y[prm["z"] == k]
-        dist = model.full_conditional(f"sigma2[{k}]", prm).dist
-        got += [dist.alpha, dist.beta]
+        par = _closed(model, f"sigma2[{k}]", prm, "InverseGamma")
+        got += [par["alpha"], par["beta"]]
         want += [h["c0"] + yk.size / 2.0, h["d0"] + math.fsum((yk - prm["mu"][k]) ** 2) / 2.0]
     return got, want
 
@@ -421,14 +437,14 @@ def _mm_sigma2():
 def _mm_v2():
     model, prm = _mm_state()
     h = model.hyper
-    dist = model.full_conditional("v2", prm).dist
-    return [dist.alpha, dist.beta], [h["a0"] + 2.0, h["b0"] + math.fsum(prm["mu"] ** 2) / 2.0]
+    par = _closed(model, "v2", prm, "InverseGamma")
+    return [par["alpha"], par["beta"]], [h["a0"] + 2.0, h["b0"] + math.fsum(prm["mu"] ** 2) / 2.0]
 
 
 def _mm_p():
     model, prm = _mm_state()
     counts = [np.sum(prm["z"] == k) for k in range(4)]
-    return model.full_conditional("p", prm).dist.alpha, [1.0 + c for c in counts]
+    return _closed(model, "p", prm, "Dirichlet")["alpha"], [1.0 + c for c in counts]
 
 
 def _lm_l_state():
@@ -444,14 +460,14 @@ def _lm_l_state():
 def _lasso_lambda2_differences(model, params):
     """logpdf(l) - logpdf(1) of the lambda2 conditional, and the same from the prior.
 
-    The reference is log prod_j DoubleExponential(beta_j | 0, 1/sqrt(l)) plus
-    log Exponential(l | lambda0), the l-dependent part of the joint density.
+    The reference is log prod_j Laplace(beta_j | 0, 1/sqrt(l)) plus
+    log Exponential(l | rate lambda0), the l-dependent part of the joint density.
     """
     beta = params["beta"]
 
     def reference(lam):
-        lp = sum(di.DoubleExponential(0.0, 1.0 / math.sqrt(lam)).log_density(b) for b in beta)
-        return lp + di.Exponential(model.hyper["lambda0"]).log_density(lam)
+        lp = stats.laplace.logpdf(beta, scale=1.0 / math.sqrt(lam)).sum()
+        return lp + stats.expon.logpdf(lam, scale=1.0 / model.hyper["lambda0"])
 
     logpdf = model.full_conditional("lambda2", params).logpdf
     lams = (0.05, 0.5, 3.0, 20.0)
@@ -465,9 +481,9 @@ def _lm_l_sigma2():
     model, prm = _lm_l_state()
     h = model.hyper
     r = model.y - model.X @ prm["beta"]
-    dist = model.full_conditional("sigma2", prm).dist
+    par = _closed(model, "sigma2", prm, "InverseGamma")
     want_b = (h["nu0"] * h["sigma02"] + math.fsum(r * r)) / 2.0
-    return [dist.alpha, dist.beta], [(h["nu0"] + 40) / 2.0, want_b]
+    return [par["alpha"], par["beta"]], [(h["nu0"] + 40) / 2.0, want_b]
 
 
 def _lm_l_lambda2():
@@ -480,20 +496,10 @@ def _lr_l_lambda2():
     return _lasso_lambda2_differences(get_model("LR-L", ds), params)
 
 
-def _lm_wi_beta():
-    ds = datagen.gen_linear(40, 3, seed=24)
-    model = get_model("LM-WI", ds)
-    sig = 1.3
-    precision = ds.X.T @ ds.X / sig**2 + np.eye(3) / model.hyper["M"] ** 2
-    cov = np.linalg.inv(precision)
-    dist = model.full_conditional("beta", {"beta": np.zeros(3), "sigma": np.array([sig])}).dist
-    scale = np.abs(cov).max()
-    got = np.concatenate([dist.mean, dist.cov.ravel() / scale])
-    want = np.concatenate([cov @ (ds.X.T @ ds.y) / sig**2, cov.ravel() / scale])
-    return got, want
-
-
 CONDITIONAL_CASES = {
+    "LM-C-sigma2": _lm_c_sigma2,
+    "LM-C-beta": _lm_c_beta,
+    "MM-z": _mm_z,
     "MM-mu": _mm_mu,
     "MM-sigma2": _mm_sigma2,
     "MM-v2": _mm_v2,
@@ -501,7 +507,8 @@ CONDITIONAL_CASES = {
     "LM-L-sigma2": _lm_l_sigma2,
     "LM-L-lambda2": _lm_l_lambda2,
     "LR-L-lambda2": _lr_l_lambda2,
-    "LM-WI-beta": _lm_wi_beta,
+    "LM-WI-beta": lambda: _lm_sigma_beta("LM-WI"),
+    "LM-NI-beta": lambda: _lm_sigma_beta("LM-NI"),
 }
 
 
@@ -633,7 +640,7 @@ def test_closed_form_matches_direct_algebra():
 def test_closed_form_wrong_prior_raises():
     ds = datagen.gen_linear(10, 2, seed=16)
     model = get_model("LM-WI", ds)
-    with pytest.raises(di.UnsupportedOperationError):
+    with pytest.raises(UnsupportedOperationError):
         model.closed_form_posterior()
 
 
@@ -652,9 +659,7 @@ def test_predictive_density_single_draw():
         n_iter=2, n_burn=0, n_thin=2, t_s=1.0,
     )
     y = np.array([0.0, 1.0])
-    expected = 0.3 * np.exp([di.Gaussian(-1, 1).log_density(v) for v in y]) + 0.7 * np.exp(
-        [di.Gaussian(2, 0.5).log_density(v) for v in y]
-    )
+    expected = 0.3 * stats.norm.pdf(y, -1.0, 1.0) + 0.7 * stats.norm.pdf(y, 2.0, math.sqrt(0.5))
     np.testing.assert_allclose(predictive_density(chain, y, H=2), expected, atol=1e-12)
 
     # repeating the same draw changes nothing
@@ -728,7 +733,7 @@ def test_predictive_density_skips_zero_weight_components():
         n_iter=2, n_burn=0, n_thin=2, t_s=1.0,
     )
     y = np.array([0.0, 2.0, -30.0])
-    expected = np.exp([di.Gaussian(2, 0.5).log_density(v) for v in y])
+    expected = stats.norm.pdf(y, 2.0, math.sqrt(0.5))
     with np.errstate(divide="raise", invalid="raise"):
         q = predictive_density(chain, y, H=2)
     np.testing.assert_allclose(q, expected, rtol=1e-13, atol=0)
