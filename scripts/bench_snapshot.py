@@ -5,8 +5,10 @@ Runs ``perfbench/run.py --workload W --trace 0`` and ``--trace 1`` for every
 workload at perfbench's default seed (0) and run length (25 s), keeps the
 JSON object each run prints last, and writes them together with the git SHA
 (and whether the working tree had uncommitted changes), the machine (core
-count, CPU model, Python, numpy and scipy versions) and a Tier-1 suite time
-entered by hand.  Beside each run, as ``trace<T>_probe_s``, it stores the
+count, CPU model, Python, numpy and scipy versions), the import layer
+(``import_s``: the median wall time of five fresh interpreters that run
+``import mcmcbench`` with one BLAS thread) and a Tier-1 suite time entered
+by hand.  Beside each run, as ``trace<T>_probe_s``, it stores the
 seconds taken by perfbench's ``speed_probe`` loop just before and just after
 the run, a reference for the host's speed at the time.
 
@@ -22,8 +24,10 @@ Usage:
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
-from run import machine  # noqa: E402
+from run import child_env, machine  # noqa: E402
 from worker import speed_probe  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -41,6 +45,16 @@ from workloads import WORKLOADS  # noqa: E402
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True,
                           check=True).stdout.strip()
+
+
+def import_seconds() -> float:
+    """Median wall time of five fresh interpreters that only ``import mcmcbench``."""
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import mcmcbench"], cwd=ROOT, env=child_env(), check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def perfbench(workload: str, trace: int) -> dict:
@@ -59,6 +73,7 @@ def main():
                     help="wall time of the Tier-1 suite in seconds, measured separately")
     args = ap.parse_args()
 
+    import_s = import_seconds()
     runs = {}
     for name in WORKLOADS:
         runs[name] = {}
@@ -72,7 +87,8 @@ def main():
         "git_sha": git("rev-parse", "HEAD"),
         "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "tier1_s": args.tier1_s,
-        "machine": {**machine(), "numpy": np.__version__, "scipy": scipy.__version__},
+        "machine": {**machine(), "numpy": np.__version__, "scipy": scipy.__version__,
+                    "import_s": import_s},
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 ESS_DENOM_FLOOR = 1e-6
 
@@ -154,18 +153,43 @@ def waic(loglik):
     return float(lppd - penalty)
 
 
+def _simpson(f, x):
+    """Composite Simpson's rule for f sampled at an odd number of points x.
+
+    The spacings need not be equal.  This is ``scipy.integrate.simpson``'s
+    formula for odd N, with its operations in the same order, so the two
+    agree bit for bit.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    return np.sum(
+        hsum / 6.0
+        * (
+            f[:-2:2] * (2.0 - 1.0 / h0divh1)
+            + f[1:-1:2] * (hsum * (hsum / hprod))
+            + f[2::2] * (2.0 - h0divh1)
+        )
+    )
+
+
 def kl_divergence(p_true, q_pred, grid):
     """KL(p || q) in bits by Simpson quadrature on a uniform grid.
 
-    ``grid`` is a dict with keys lo, hi, points.  Points where p is
+    ``grid`` is a dict with keys lo, hi, points; ``points`` must be odd, so
+    that the grid splits into whole Simpson panels.  Points where p is
     (numerically) zero contribute nothing; if q vanishes where p carries
     mass the divergence is +inf.
     """
     lo, hi, points = grid["lo"], grid["hi"], grid["points"]
+    if points < 3 or points % 2 == 0:
+        raise ValueError(f"grid points must be odd and >= 3, got {points}")
     y = np.linspace(lo, hi, points)
     p = np.asarray(p_true(y), dtype=float)
     q = np.asarray(q_pred(y), dtype=float)
-    mass = simpson(p, x=y)
+    mass = _simpson(p, y)
     if mass < 1.0 - 1e-4:
         warnings.warn(
             f"grid captures only {mass:.6f} of the true density's mass",
@@ -178,7 +202,7 @@ def kl_divergence(p_true, q_pred, grid):
         return float("inf")
     integrand = np.zeros_like(p)
     integrand[support] = p[support] * np.log2(p[support] / q[support])
-    return float(simpson(integrand, x=y))
+    return float(_simpson(integrand, y))
 
 
 def beta_error(posterior_means, truth):

@@ -131,18 +131,26 @@ _GENERATORS = {
 
 
 def _dataset_args(cfg: ExperimentConfig) -> dict:
-    """Keyword arguments of the family's ``datagen.gen_*`` call."""
+    """Keyword arguments of the family's ``datagen.gen_*`` call.
+
+    Raises ``ValueError`` when ``covariates`` or ``zero_pattern`` is set away
+    from its default for a prior whose data does not draw it.
+    """
     family = cfg.family
     if family == "MM":
-        return {"n": cfg.n, "H": cfg.H, "seed": cfg.seed}
-    args = {"n": cfg.n, "p": cfg.p, "seed": cfg.seed}
-    if family == "LM":
-        zero = cfg.zero_pattern if cfg.prior == "LM-L" else 0
-        args.update(covariates=cfg.covariates, zero_pattern=zero)
-    elif family == "LR":
-        args["zero_pattern"] = cfg.zero_pattern
+        args = {"n": cfg.n, "H": cfg.H, "seed": cfg.seed}
     else:
+        args = {"n": cfg.n, "p": cfg.p, "seed": cfg.seed}
+    if family == "LM":
+        args["covariates"] = cfg.covariates
+    if family == "LR" or cfg.prior == "LM-L":
+        args["zero_pattern"] = cfg.zero_pattern
+    if family == "AFT":
         args["k"] = cfg.k
+    for name, default in (("covariates", "continuous"), ("zero_pattern", 0)):
+        value = getattr(cfg, name)
+        if name not in args and value != default:
+            raise ValueError(f"{cfg.prior} data does not draw {name}; got {name}={value!r}")
     return args
 
 

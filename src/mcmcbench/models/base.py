@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..datagen import Dataset
 from ..params import ParamSpace
@@ -160,6 +159,10 @@ def gaussian_loglik(y: np.ndarray, mean, sigma2: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _ig_norm(a: float, b: float) -> float:
     """Normalizing term a log b - log Gamma(a) of InverseGamma(a, b)."""
+    # scipy stays off the import path; math.lgamma differs from gammaln in the
+    # last bit for most a, which would move the draws
+    from scipy.special import gammaln
+
     return a * math.log(b) - gammaln(a)
 
 

@@ -10,6 +10,9 @@ Priors on (beta, scale):
 
 The conjugate case also provides the exact Normal-Inverse-Gamma
 posterior used as a sanity oracle by the samplers' tests.
+
+The Cholesky solves come from ``scipy.linalg``, imported in the methods
+that call them so that ``import mcmcbench`` does not load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
@@ -91,6 +93,8 @@ class LinearModel(Model):
         self.XtX = self.X.T @ self.X
         self.Xty = self.X.T @ self.y
         if prior_id == "LM-C":
+            from scipy.linalg import cho_factor, cho_solve
+
             # V = (X'X + I)^-1 via its Cholesky; reused by Gibbs and oracle
             self._cho_A = cho_factor(self.XtX + np.eye(p), lower=True)
             self._V = cho_solve(self._cho_A, np.eye(p))
@@ -125,6 +129,8 @@ class LinearModel(Model):
 
         Returns the lower Cholesky factor of A and the mean.
         """
+        from scipy.linalg import cho_factor, cho_solve
+
         s2 = sig**2
         cA = cho_factor(self.XtX / s2 + np.eye(self.p) / self.hyper["M"] ** 2, lower=True)
         return cA, cho_solve(cA, self.Xty / s2)
@@ -236,6 +242,8 @@ class LinearModel(Model):
             state["sigma2"] = np.array([1.0 / rng.gamma(a, 1.0 / b)])
             return
         if self.prior_id in ("LM-WI", "LM-NI"):
+            from scipy.linalg import solve_triangular
+
             sig = float(state["sigma"][0])
             cA, mean = self._beta_given_sigma(sig)
             z = rng.standard_normal(self.p)
@@ -272,6 +280,8 @@ class LinearModel(Model):
             return ConditionalSpec.closed_form("MvGaussian", mean=self._beta_hat, cov=s2 * self._V)
         if self.prior_id in ("LM-WI", "LM-NI"):
             if block == "beta":
+                from scipy.linalg import cho_solve
+
                 cA, mean = self._beta_given_sigma(float(np.atleast_1d(params["sigma"])[0]))
                 cov = cho_solve(cA, np.eye(self.p))
                 return ConditionalSpec.closed_form("MvGaussian", mean=mean, cov=cov)

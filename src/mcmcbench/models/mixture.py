@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax
@@ -77,7 +76,9 @@ class MixtureModel(Model):
         ]
         super().__init__(dataset, ParamSpace(blocks), h)
         self.y = dataset.y
-        self._log_dirichlet_norm = gammaln(float(self.H))  # Dirichlet(1,...,1): (H-1)!
+        # Dirichlet(1,...,1) density (H-1)!; the log of the exact integer matches
+        # scipy.special.gammaln(H) bit for bit, math.lgamma(H) does not
+        self._log_dirichlet_norm = math.log(math.factorial(self.H - 1))
 
     @property
     def is_latent(self):
@@ -214,9 +215,14 @@ class MixtureModel(Model):
         return w
 
     def resample_latent(self, params, rng) -> np.ndarray:
-        cum = np.cumsum(self._allocation_probs(params), axis=0)
+        # z_i = number of cumulative probabilities below u_i.  Only the first
+        # H-1 cumulative rows are needed: cum is nondecreasing, so the last
+        # row could only push the count to H, past the last component.
+        cum = self._allocation_probs(params)
+        for h in range(1, self.H - 1):
+            np.add(cum[h - 1], cum[h], out=cum[h])
         u = rng.random(self.n)
-        return (u > cum).sum(axis=0).clip(0, self.H - 1)
+        return (u > cum[: self.H - 1]).sum(axis=0)
 
     # conjugate blocks given z: gibbs_scan draws from these, full_conditional reports them
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from mcmcbench import diagnostics as dg
 from mcmcbench.samplers.common import Chain
@@ -274,6 +275,21 @@ def test_kl_warns_on_bad_grid_coverage():
     grid = {"lo": -0.5, "hi": 0.5, "points": 201}
     with pytest.warns(UserWarning):
         dg.kl_divergence(norm_pdf(0.0, 1.0), norm_pdf(0.0, 1.0), grid)
+
+
+def test_kl_rejects_even_points():
+    with pytest.raises(ValueError, match="odd"):
+        dg.kl_divergence(norm_pdf(0.0, 1.0), norm_pdf(0.0, 1.0), {"lo": -8.0, "hi": 8.0, "points": 2000})
+
+
+def test_simpson_matches_scipy_bit_for_bit():
+    # the uniform grids of the KL tests above, then three random odd grids
+    grids = [np.linspace(*g) for g in [(-8, 8, 2001), (-9, 10, 2001), (-10, 10, 2001), (-0.5, 0.5, 201)]]
+    grids += [np.sort(rng(seed).uniform(-6.0, 6.0, n)) for seed, n in [(1, 3), (2, 51), (3, 1001)]]
+    for y in grids:
+        p, q = norm_pdf(0.3, 2.0)(y), norm_pdf(-0.2, 1.5)(y)
+        for f in (p, p * np.log2(p / q)):
+            assert dg._simpson(f, y) == simpson(f, x=y)
 
 
 # ---------------------------------------------------------------------------

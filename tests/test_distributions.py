@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from mcmcbench import datagen
@@ -66,6 +66,13 @@ def test_dirichlet_flat_constant():
     for p in ([0.2, 0.3, 0.5], [0.6, 0.2, 0.2]):
         lp = model.log_prior({**prm, "p": np.array(p)})
         assert lp - rest == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_dirichlet_norm_matches_gammaln():
+    # log (H-1)! of the exact integer is scipy's log Gamma(H) bit for bit
+    for H in range(2, 11):
+        model, _, _ = mixture_prior(H)
+        assert model._log_dirichlet_norm == special.gammaln(H)
 
 
 def test_weibull_hand_value():

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcmcbench
 from mcmcbench import harness
 from mcmcbench.cli import _merge_config, build_parser
 from mcmcbench.cli import main as cli_main
@@ -52,6 +57,8 @@ BAD_DESIGNS = {
     "covariates-x": ({"prior": "LM-C", "covariates": "x"}, "covariate kind"),
     "binary-p5": ({"prior": "LM-WI", "covariates": "binary", "p": 5}, "binary covariates"),
     "zero-pattern-p": ({"prior": "LR-L", "zero_pattern": 4, "p": 4}, "zero_pattern"),
+    "binary-LR": ({"prior": "LR-N", "covariates": "binary"}, "does not draw covariates"),
+    "zero-pattern-LM-C": ({"prior": "LM-C", "zero_pattern": 2}, "does not draw zero_pattern"),
     "n0": ({"prior": "MM", "n": 0}, "n must be"),
     "seed-1": ({"prior": "LR-N", "seed": -1}, "seed must be"),
     "workers-2": ({"prior": "LM-C", "max_workers": -2}, "max_workers"),
@@ -64,6 +71,35 @@ def test_bad_design_fails_at_config(case):
     kw, message = BAD_DESIGNS[case]
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**kw)
+
+
+# Code run after ``import mcmcbench`` in a fresh interpreter that must not load scipy:
+# a run of every backend on LR-N, and the mixture built in both parameterizations.
+SCIPY_FREE = {
+    "LR-N-run": """
+from mcmcbench.harness import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig(prior="LR-N", n=50, p=3, n_iter=300, n_burn=100))
+""",
+    "MM-build": """
+from mcmcbench.datagen import gen_mixture
+from mcmcbench.models import get_model
+for parameterization in ("marginal", "latent"):
+    get_model("MM", gen_mixture(50, 2), H=2, parameterization=parameterization)
+""",
+}
+
+
+@pytest.mark.parametrize("case", list(SCIPY_FREE))
+def test_import_path_loads_no_scipy(case):
+    # counts modules rather than timing the import, so host speed cannot flake it
+    code = "import sys\nimport mcmcbench\n" + SCIPY_FREE[case] + (
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(mcmcbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_schedule_defaults():
@@ -274,10 +310,14 @@ def test_cli_error_is_machine_readable(capsys):
 def test_cli_bad_design_samples_nothing(monkeypatch, capsys):
     sampled = []
     monkeypatch.setattr(harness, "run_backend_sampler", lambda *a, **kw: sampled.append(a))
-    assert cli_main(["run", "--prior", "LM-C", "--n", "0", "--backends", "gibbs"]) == 1
-    captured = capsys.readouterr()
-    assert sampled == [] and captured.out == ""
-    assert "n must be >= 1" in json.loads(captured.err)["message"]
+    for flags, message in [
+        (["--prior", "LM-C", "--n", "0"], "n must be >= 1"),
+        (["--prior", "LR-N", "--covariates", "binary"], "does not draw covariates"),
+    ]:
+        assert cli_main(["run", *flags, "--backends", "gibbs"]) == 1
+        captured = capsys.readouterr()
+        assert sampled == [] and captured.out == ""
+        assert message in json.loads(captured.err)["message"]
 
 
 def test_cli_run_rejects_repeats(tmp_path, capsys):
