@@ -28,6 +28,11 @@ GRID = [
 ]
 
 
+def cell(value, spec):
+    """A report cell for the progress line; a skipped backend's "-" prints as is."""
+    return value if isinstance(value, str) else format(value, spec)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="results/grid.csv")
@@ -40,14 +45,12 @@ def main():
     for setting in GRID:
         schedule = dict(n_iter=2000, n_burn=1000) if args.quick else {}
         cfg = ExperimentConfig(seed=args.seed, **setting, **schedule)
-        result = run_experiment(cfg)
-        for backend, rep in result.items():
+        for rep in run_experiment(cfg).values():
             reports.append(rep)
             row = rep.row()
             print(
-                f"{row['prior']:7s} n={row['n']:<5d} {backend:5s} "
-                f"E={row['mean_E'] if rep.skipped else f'{rep.ess.mean_E:.3f}'} "
-                f"it/s={row['N_it_per_s'] if rep.skipped else f'{rep.chain.n_iter / rep.t_s:.0f}'}"
+                f"{row['prior']:7s} n={row['n']:<5d} {row['backend']:5s} "
+                f"E={cell(row['mean_E'], '.3f')} it/s={cell(row['N_it_per_s'], '.0f')}"
             )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

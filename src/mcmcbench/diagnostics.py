@@ -78,12 +78,11 @@ class EssReport:
     n_samples: int
 
 
-def ess_report(chain, subset=None):
-    """Efficiency E_j = ess_j / N_s for a selected parameter subset.
+def ess_report(chain, prefix):
+    """Efficiency E_j = ess_j / N_s for the columns ``chain.cols_with_prefix(prefix)``.
 
-    ``subset`` is a list of column names, a name prefix (e.g. "beta"), or
-    None for every column.  Values are clamped to 1.0 (estimator noise can
-    exceed it slightly on thinned chains).
+    Values are clamped to 1.0 (estimator noise can exceed it slightly on
+    thinned chains).
     """
     if chain.n_thin != 2:
         warnings.warn(
@@ -91,14 +90,9 @@ def ess_report(chain, subset=None):
             "exceed 1 due to antithetic autocorrelation",
             stacklevel=2,
         )
-    if subset is None:
-        names = list(chain.names)
-    elif isinstance(subset, str):
-        names = [nm for nm in chain.names if nm == subset or nm.startswith(subset + "[")]
-    else:
-        names = list(subset)
+    names = chain.cols_with_prefix(prefix)
     if not names:
-        raise ValueError("empty parameter subset")
+        raise ValueError(f"no columns named {prefix!r} or {prefix}[...]")
     raw = np.array([ess(chain.col(nm)) / chain.n_samples for nm in names])
     clamped = np.minimum(raw, 1.0)
     return EssReport(
@@ -175,20 +169,19 @@ def _simpson(f, x):
     )
 
 
-def kl_divergence(p_true, q_pred, grid):
-    """KL(p || q) in bits by Simpson quadrature on a uniform grid.
+def kl_divergence(p, q, y):
+    """KL(p || q) in bits by Simpson quadrature.
 
-    ``grid`` is a dict with keys lo, hi, points; ``points`` must be odd, so
-    that the grid splits into whole Simpson panels.  Points where p is
-    (numerically) zero contribute nothing; if q vanishes where p carries
-    mass the divergence is +inf.
+    ``p`` and ``q`` are the two densities evaluated on the grid ``y``, whose
+    length must be odd, so that it splits into whole Simpson panels.  Points
+    where p is (numerically) zero contribute nothing; if q vanishes where p
+    carries mass the divergence is +inf.
     """
-    lo, hi, points = grid["lo"], grid["hi"], grid["points"]
-    if points < 3 or points % 2 == 0:
-        raise ValueError(f"grid points must be odd and >= 3, got {points}")
-    y = np.linspace(lo, hi, points)
-    p = np.asarray(p_true(y), dtype=float)
-    q = np.asarray(q_pred(y), dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.size < 3 or y.size % 2 == 0:
+        raise ValueError(f"grid length must be odd and >= 3, got {y.size}")
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     mass = _simpson(p, y)
     if mass < 1.0 - 1e-4:
         warnings.warn(

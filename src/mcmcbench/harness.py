@@ -13,9 +13,12 @@ import io
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,18 +29,26 @@ from .models.mixture import predictive_density
 from .samplers import BACKENDS, SamplerConfig, chain_rng
 from .samplers import run as run_backend_sampler
 
-# (N_it, N_b) defaults per prior; N_thin defaults to 2.
-SCHEDULES = {
-    "LM-C": (11000, 1000),
-    "LM-WI": (15000, 5000),
-    "LM-NI": (15000, 5000),
-    "LM-L": (20000, 10000),
-    "LR-N": (20000, 10000),
-    "LR-L": (15000, 10000),
-    "MM": (20000, 10000),
-    "AFT-NH": (10000, 5000),
-    "AFT-NI": (10000, 5000),
+
+class PriorDesign(NamedTuple):
+    generate: Callable  # the ``datagen.gen_*`` function that draws the prior's data
+    fields: tuple  # the design fields it draws, besides n and seed
+    schedule: tuple  # default (N_it, N_b); N_thin defaults to 2
+
+
+PRIORS = {
+    "LM-C": PriorDesign(datagen.gen_linear, ("p", "covariates"), (11000, 1000)),
+    "LM-WI": PriorDesign(datagen.gen_linear, ("p", "covariates"), (15000, 5000)),
+    "LM-NI": PriorDesign(datagen.gen_linear, ("p", "covariates"), (15000, 5000)),
+    "LM-L": PriorDesign(datagen.gen_linear, ("p", "covariates", "zero_pattern"), (20000, 10000)),
+    "LR-N": PriorDesign(datagen.gen_logistic, ("p", "zero_pattern"), (20000, 10000)),
+    "LR-L": PriorDesign(datagen.gen_logistic, ("p", "zero_pattern"), (15000, 10000)),
+    "MM": PriorDesign(datagen.gen_mixture, ("H",), (20000, 10000)),
+    "AFT-NH": PriorDesign(datagen.gen_aft, ("p", "k"), (10000, 5000)),
+    "AFT-NI": PriorDesign(datagen.gen_aft, ("p", "k"), (10000, 5000)),
 }
+# A design field the prior's data draws takes this value when the config leaves it None.
+DESIGN_DEFAULTS = {"p": 4, "H": 2, "k": 0.5, "covariates": "continuous", "zero_pattern": 0}
 
 # Mixture parameterization per backend: the gradient-based sampler needs the
 # marginal likelihood, the others use the latent-allocation form.
@@ -67,11 +78,13 @@ REPORT_COLUMNS = [
 class ExperimentConfig:
     prior: str
     n: int = 100
-    p: int = 4  # covariate count (regressions) -- ignored for mixtures
-    H: int = 2  # mixture components
-    covariates: str = "continuous"
-    zero_pattern: int = 0
-    k: float = 0.5  # target censored fraction (AFT)
+    # Design fields: None takes DESIGN_DEFAULTS where PRIORS lists the field,
+    # and a value for a field the prior's data does not draw is an error.
+    p: int | None = None  # covariate count (regressions)
+    H: int | None = None  # mixture components
+    covariates: str | None = None
+    zero_pattern: int | None = None
+    k: float | None = None  # target censored fraction (AFT)
     backends: tuple = tuple(BACKENDS)
     chains: int = 1
     seed: int = 0
@@ -84,8 +97,15 @@ class ExperimentConfig:
     hyper: dict | None = None
 
     def __post_init__(self):
-        if self.prior not in FAMILY_OF:
+        if self.prior not in PRIORS:
             raise ValueError(f"unknown prior tag {self.prior!r}")
+        drawn = PRIORS[self.prior].fields
+        for name, default in DESIGN_DEFAULTS.items():
+            value = getattr(self, name)
+            if name not in drawn and value is not None:
+                raise ValueError(f"{self.prior} data does not draw {name}; got {name}={value!r}")
+            if name in drawn and value is None:
+                setattr(self, name, default)
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         if self.repeats < 1:
@@ -112,7 +132,7 @@ class ExperimentConfig:
         return self.H if self.family == "MM" else self.p
 
     def sampler_config(self, backend: str) -> SamplerConfig:
-        n_it, n_b = SCHEDULES[self.prior]
+        n_it, n_b = PRIORS[self.prior].schedule
         return SamplerConfig(
             backend=backend,
             n_iter=self.n_iter if self.n_iter is not None else n_it,
@@ -122,61 +142,21 @@ class ExperimentConfig:
         )
 
 
-_GENERATORS = {
-    "LM": datagen.gen_linear,
-    "LR": datagen.gen_logistic,
-    "MM": datagen.gen_mixture,
-    "AFT": datagen.gen_aft,
-}
-
-
 def _dataset_args(cfg: ExperimentConfig) -> dict:
-    """Keyword arguments of the family's ``datagen.gen_*`` call.
-
-    Raises ``ValueError`` when ``covariates`` or ``zero_pattern`` is set away
-    from its default for a prior whose data does not draw it.
-    """
-    family = cfg.family
-    if family == "MM":
-        args = {"n": cfg.n, "H": cfg.H, "seed": cfg.seed}
-    else:
-        args = {"n": cfg.n, "p": cfg.p, "seed": cfg.seed}
-    if family == "LM":
-        args["covariates"] = cfg.covariates
-    if family == "LR" or cfg.prior == "LM-L":
-        args["zero_pattern"] = cfg.zero_pattern
-    if family == "AFT":
-        args["k"] = cfg.k
-    for name, default in (("covariates", "continuous"), ("zero_pattern", 0)):
-        value = getattr(cfg, name)
-        if name not in args and value != default:
-            raise ValueError(f"{cfg.prior} data does not draw {name}; got {name}={value!r}")
-    return args
+    """Keyword arguments of the prior's ``datagen.gen_*`` call."""
+    design = {name: getattr(cfg, name) for name in PRIORS[cfg.prior].fields}
+    return {"n": cfg.n, "seed": cfg.seed, **design}
 
 
 def make_dataset(cfg: ExperimentConfig) -> datagen.Dataset:
     """Generate the dataset for one experiment (or one repeat of it)."""
-    return _GENERATORS[cfg.family](**_dataset_args(cfg))
+    return PRIORS[cfg.prior].generate(**_dataset_args(cfg))
 
 
-def _build_model(cfg: ExperimentConfig, dataset, backend: str):
-    parameterization = MIXTURE_PARAMETERIZATION.get(backend, "marginal")
-    return get_model(
-        cfg.prior,
-        dataset,
-        H=cfg.H,
-        parameterization=parameterization,
-        hyper=cfg.hyper,
-    )
-
-
-def _chain_worker(args):
+def _chain_worker(model, scfg: SamplerConfig, chain_index: int):
     """Top-level worker so chains can run in separate processes."""
-    cfg, dataset, backend, chain_index = args
-    model = _build_model(cfg, dataset, backend)
-    scfg = cfg.sampler_config(backend)
     rng = chain_rng(scfg.seed, chain_index)
-    return run_backend_sampler(backend, model, scfg, rng=rng)
+    return run_backend_sampler(scfg.backend, model, scfg, rng=rng)
 
 
 @dataclass
@@ -235,33 +215,26 @@ class RunReport:
         return int(sum(vals))
 
 
-def _true_mixture_density(truth):
+def _true_mixture_density(truth, y):
+    """The generating mixture's density at the points y."""
     mix = truth.mixture
     w = np.asarray(mix["weights"], dtype=float)
     mu = np.asarray(mix["means"], dtype=float)
     sd = np.asarray(mix["sds"], dtype=float)
-
-    def density(y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        comps = np.exp(-0.5 * ((y[:, None] - mu) / sd) ** 2) / (
-            sd * np.sqrt(2.0 * np.pi)
-        )
-        return comps @ w
-
-    return density
+    comps = np.exp(-0.5 * ((y[:, None] - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+    return comps @ w
 
 
-def _diagnose(cfg: ExperimentConfig, dataset, report: RunReport) -> None:
+def _diagnose(cfg: ExperimentConfig, dataset, model, report: RunReport) -> None:
     """Fill in efficiency and fit metrics for a completed backend run."""
     family = cfg.family
-    subset = "v2" if family == "MM" else "beta"
-    report.per_chain_ess = [diagnostics.ess_report(c, subset) for c in report.chains]
+    prefix = "v2" if family == "MM" else "beta"
+    report.per_chain_ess = [diagnostics.ess_report(c, prefix) for c in report.chains]
     report.ess = report.per_chain_ess[0]
 
-    # Pointwise log-likelihood always comes from the marginal form so the
-    # latent-allocation chains are scored on the same likelihood.
-    diag_model = _build_model(cfg, dataset, "nuts")
-    loglik = np.vstack([diag_model.log_likelihood_draws(c.samples) for c in report.chains])
+    # Pointwise log-likelihoods are marginal under both mixture parameterizations,
+    # so latent-allocation chains are scored on the same likelihood.
+    loglik = np.vstack([model.log_likelihood_draws(c.samples) for c in report.chains])
     pooled = report.chains[0]
     if len(report.chains) > 1:
         pooled = replace(pooled, samples=np.vstack([c.samples for c in report.chains]))
@@ -270,16 +243,11 @@ def _diagnose(cfg: ExperimentConfig, dataset, report: RunReport) -> None:
     fit.lpml = diagnostics.lpml(loglik)
     fit.waic = diagnostics.waic(loglik)
     if family == "MM":
-        truth_density = _true_mixture_density(dataset.truth)
         mu = np.asarray(dataset.truth.mixture["means"], dtype=float)
-        grid = {"lo": float(mu.min() - 6.0), "hi": float(mu.max() + 6.0), "points": 2001}
-        y_grid = np.linspace(grid["lo"], grid["hi"], grid["points"])
-        q_vals = predictive_density(pooled, y_grid, H=cfg.H)
-
-        def q_pred(y, _vals=q_vals, _grid=y_grid):
-            return np.interp(np.atleast_1d(y), _grid, _vals)
-
-        fit.kl = diagnostics.kl_divergence(truth_density, q_pred, grid)
+        y = np.linspace(float(mu.min() - 6.0), float(mu.max() + 6.0), 2001)
+        fit.kl = diagnostics.kl_divergence(
+            _true_mixture_density(dataset.truth, y), predictive_density(pooled, y, H=cfg.H), y
+        )
     if dataset.truth.beta is not None:
         means = [np.mean(pooled.col(nm)) for nm in pooled.cols_with_prefix("beta")]
         fit.error = diagnostics.beta_error(means, dataset.truth.beta)
@@ -288,22 +256,25 @@ def _diagnose(cfg: ExperimentConfig, dataset, report: RunReport) -> None:
 
 def _run_one_backend(cfg: ExperimentConfig, dataset, backend: str) -> RunReport:
     report = RunReport(cfg=cfg, backend=backend)
-    model = _build_model(cfg, dataset, backend)
+    parameterization = MIXTURE_PARAMETERIZATION.get(backend, "marginal")
+    model = get_model(cfg.prior, dataset, H=cfg.H, parameterization=parameterization,
+                      hyper=cfg.hyper)
     if backend == "nuts" and not model.has_gradient:
         report.skipped = True
         report.note = "no gradient available for this parameterization"
         return report
+    scfg = cfg.sampler_config(backend)
     t0 = time.perf_counter()
     if cfg.chains == 1:
-        report.chains = [_chain_worker((cfg, dataset, backend, 0))]
+        report.chains = [_chain_worker(model, scfg, 0)]
     else:
         workers = cfg.max_workers or max(1, (os.cpu_count() or 2) - 1)
         workers = min(workers, cfg.chains)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [(cfg, dataset, backend, i) for i in range(cfg.chains)]
-            report.chains = list(pool.map(_chain_worker, jobs))
+            report.chains = list(pool.map(_chain_worker, repeat(model), repeat(scfg),
+                                          range(cfg.chains)))
     report.wall_clock = time.perf_counter() - t0
-    _diagnose(cfg, dataset, report)
+    _diagnose(cfg, dataset, model, report)
     return report
 
 

@@ -7,12 +7,7 @@ Models are selected by the string tags "LM-C", "LM-WI", "LM-NI",
 from __future__ import annotations
 
 from ..datagen import Dataset
-from . import aft, linear, logistic, mixture
-from .aft import AFTModel
-from .base import ConditionalSpec, Model
-from .linear import ClosedFormLMPosterior, LinearModel
-from .logistic import LogisticModel
-from .mixture import MixtureModel, predictive_density
+from . import aft, base, linear, logistic, mixture
 
 FAMILY_OF = {
     "LM-C": "LM",
@@ -42,33 +37,20 @@ def get_model(
     H: int | None = None,
     parameterization: str = "marginal",
     hyper: dict | None = None,
-) -> Model:
+) -> base.Model:
     """Build a model instance from its prior tag."""
     family = FAMILY_OF.get(prior_id)
     if family is None:
         raise ValueError(f"unknown prior tag {prior_id!r}; expected one of {PRIOR_TAGS}")
     if family == "LM":
-        return LinearModel(dataset, prior_id, hyper)
+        return linear.LinearModel(dataset, prior_id, hyper)
     if family == "LR":
-        return LogisticModel(dataset, prior_id, hyper)
+        return logistic.LogisticModel(dataset, prior_id, hyper)
     if family == "MM":
         if H is None:
             raise ValueError("mixture model needs H")
-        return MixtureModel(dataset, H, parameterization, hyper)
-    return AFTModel(dataset, prior_id, hyper)
+        return mixture.MixtureModel(dataset, H, parameterization, hyper)
+    return aft.AFTModel(dataset, prior_id, hyper)
 
 
-__all__ = [
-    "AFTModel",
-    "ClosedFormLMPosterior",
-    "ConditionalSpec",
-    "FAMILY_OF",
-    "HYPER_DEFAULTS",
-    "LinearModel",
-    "LogisticModel",
-    "MixtureModel",
-    "Model",
-    "PRIOR_TAGS",
-    "get_model",
-    "predictive_density",
-]
+__all__ = ["FAMILY_OF", "HYPER_DEFAULTS", "PRIOR_TAGS", "get_model"]

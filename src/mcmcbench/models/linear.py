@@ -56,10 +56,6 @@ class ClosedFormLMPosterior:
     beta_n: float
 
     @property
-    def beta_mean(self) -> np.ndarray:
-        return self.beta_hat
-
-    @property
     def sigma2_mean(self) -> float:
         return self.beta_n / (self.alpha_n - 1.0)
 

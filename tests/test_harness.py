@@ -21,6 +21,7 @@ from mcmcbench.harness import (
     repeated_datasets,
     run_experiment,
 )
+from mcmcbench.models import get_model
 
 
 def quick_cfg(**kw):
@@ -59,6 +60,10 @@ BAD_DESIGNS = {
     "zero-pattern-p": ({"prior": "LR-L", "zero_pattern": 4, "p": 4}, "zero_pattern"),
     "binary-LR": ({"prior": "LR-N", "covariates": "binary"}, "does not draw covariates"),
     "zero-pattern-LM-C": ({"prior": "LM-C", "zero_pattern": 2}, "does not draw zero_pattern"),
+    "k-H-LR": ({"prior": "LR-N", "k": 0.9, "H": 4}, "does not draw H"),
+    "p-MM": ({"prior": "MM", "p": 7}, "does not draw p"),
+    "H-AFT": ({"prior": "AFT-NH", "H": 3}, "does not draw H"),
+    "k-LM-C": ({"prior": "LM-C", "k": 5.0}, "does not draw k"),
     "n0": ({"prior": "MM", "n": 0}, "n must be"),
     "seed-1": ({"prior": "LR-N", "seed": -1}, "seed must be"),
     "workers-2": ({"prior": "LM-C", "max_workers": -2}, "max_workers"),
@@ -109,6 +114,9 @@ def test_schedule_defaults():
     assert ExperimentConfig(prior="AFT-NH").sampler_config("rwmh").n_burn == 5000
     assert ExperimentConfig(prior="LR-L").sampler_config("gibbs").n_iter == 15000
     assert ExperimentConfig(prior="LM-C").sampler_config("gibbs").n_thin == 2
+    for prior, design in harness.PRIORS.items():
+        scfg = ExperimentConfig(prior=prior).sampler_config("gibbs")
+        assert (scfg.n_iter, scfg.n_burn) == design.schedule
 
 
 def test_backends_string_split():
@@ -202,10 +210,26 @@ def test_parallel_chains_match_sequential_seeds():
     assert len(rep.chains) == 3
     from mcmcbench.harness import _chain_worker
 
-    ds = make_dataset(cfg)
+    model = get_model(cfg.prior, make_dataset(cfg))
     for i in range(3):
-        solo = _chain_worker((cfg, ds, "gibbs", i))
+        solo = _chain_worker(model, cfg.sampler_config("gibbs"), i)
         np.testing.assert_array_equal(rep.chains[i].samples, solo.samples)
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+def test_one_model_per_backend(monkeypatch, chains):
+    # the sampler, the chain workers and the diagnostics all share one model
+    built = []
+
+    def counting_get_model(*args, **kwargs):
+        built.append(args[0])
+        return get_model(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "get_model", counting_get_model)
+    cfg = quick_cfg(backends=("gibbs", "nuts"), chains=chains)
+    reports = run_experiment(cfg)
+    assert built == ["LM-C", "LM-C"]
+    assert all(len(rep.chains) == chains for rep in reports.values())
 
 
 def test_k1_equals_run_experiment():

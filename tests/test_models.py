@@ -611,7 +611,7 @@ def test_closed_form_symmetric_single_obs():
     ds = datagen.Dataset(y=np.array([0.0]), X=np.array([[1.0]]),
                          truth=datagen.GroundTruth())
     post = get_model("LM-C", ds).closed_form_posterior()
-    assert post.beta_mean[0] == pytest.approx(0.0, abs=1e-14)
+    assert post.beta_hat[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_closed_form_empty_data_returns_prior():
@@ -619,7 +619,7 @@ def test_closed_form_empty_data_returns_prior():
     post = get_model("LM-C", ds).closed_form_posterior()
     h = HYPER_DEFAULTS["LM-C"]
     np.testing.assert_allclose(post.V_n, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(post.beta_mean, 0.0, atol=1e-14)
+    np.testing.assert_allclose(post.beta_hat, 0.0, atol=1e-14)
     assert post.alpha_n == pytest.approx(h["eta0"] / 2.0)
     assert post.beta_n == pytest.approx(h["eta0"] * h["sigma02"] / 2.0)
 
@@ -631,7 +631,7 @@ def test_closed_form_matches_direct_algebra():
     Vn = np.linalg.inv(ds.X.T @ ds.X + np.eye(3))
     bh = Vn @ ds.X.T @ ds.y
     np.testing.assert_allclose(post.V_n, Vn, atol=1e-10)
-    np.testing.assert_allclose(post.beta_mean, bh, atol=1e-10)
+    np.testing.assert_allclose(post.beta_hat, bh, atol=1e-10)
     assert post.alpha_n == pytest.approx((h["eta0"] + 50) / 2.0)
     quad = ds.y @ ds.y - bh @ (ds.X.T @ ds.X + np.eye(3)) @ bh
     assert post.beta_n == pytest.approx((h["eta0"] * h["sigma02"] + quad) / 2.0, rel=1e-10)
