@@ -46,7 +46,6 @@ class GroundTruth:
     beta: np.ndarray | None = None
     sigma2: float | None = None
     mixture: dict | None = None  # keys: weights, means, sds
-    censoring_target: float | None = None
 
 
 @dataclass
@@ -59,10 +58,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def p(self) -> int:
-        return 0 if self.X is None else self.X.shape[1]
 
 
 def check_design(
@@ -188,6 +183,6 @@ def gen_aft(n: int, p: int, k: float, seed: int = 0) -> Dataset:
     C = (r_noise.exponential(1.0, size=n) / lam_C) ** sigma
     y = np.minimum(T, C)
     delta = (T <= C).astype(np.int64)
-    truth = GroundTruth(beta=beta, sigma2=sigma2, censoring_target=k)
+    truth = GroundTruth(beta=beta, sigma2=sigma2)
     return Dataset(y=y, X=X, delta=delta, truth=truth)
 

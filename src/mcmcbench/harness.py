@@ -201,7 +201,7 @@ class RunReport:
         out["per_block_E"] = ";".join(f"{e:.6f}" for e in self.ess.per_param_E)
         out["N_it"] = chain.n_iter
         out["t_s"] = self.t_s
-        out["N_it_per_s"] = chain.n_iter / self.t_s
+        out["N_it_per_s"] = sum(c.n_iter for c in self.chains) / self.t_s
         for key in ("lpml", "waic", "kl", "error"):
             val = getattr(self.fit, key)
             out[key] = "" if val is None else val

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
-from .base import ConditionalSpec, Model, gaussian_prior, memo_logdens, merge_hyper
+from .base import Model, gaussian_prior, memo_logdens, merge_hyper
 
 HYPER_DEFAULTS = {
     "AFT-NH": {"b02": 10.0, "lambda0": 1.0},
@@ -194,17 +194,3 @@ class AFTModel(Model):
                 beta[j] = new
         logpdf = self._sigma_logdens(logy, complete, eta)
         state["sigma"] = np.array([slice_fn(logpdf, sigma, "sigma")])
-
-    def full_conditional(self, block, params):
-        beta = np.asarray(params["beta"], dtype=float)
-        eta = self.X @ beta
-        if block.startswith("beta["):
-            j = int(block[5:-1])
-            sigma = float(np.atleast_1d(params["sigma"])[0])
-            return ConditionalSpec.generic(
-                self._beta_logdens(self.logy, self.delta, eta, j, beta[j], sigma,
-                                   np.empty_like(eta))[0]
-            )
-        if block == "sigma":
-            return ConditionalSpec.generic(self._sigma_logdens(self.logy, self.delta, eta))
-        raise KeyError(f"no conditional for block {block!r} under {self.prior_id}")

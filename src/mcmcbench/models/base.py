@@ -13,10 +13,6 @@ Every model exposes the same surface to the samplers:
 - ``gibbs_scan(state, rng, slice_fn)``: one systematic scan of block
   updates; conjugate blocks are drawn exactly, the rest take one slice
   step through the injected ``slice_fn``
-- ``full_conditional(block, params)``: a block's conditional as a closed
-  form family with its parameters or a generic 1-D log density.  It is
-  built from the same private helpers that ``gibbs_scan`` draws from, so
-  checking it checks the parameters of the scan's updates.
 
 Latent-allocation models additionally carry a discrete state vector z
 handled via ``resample_latent``; their continuous conditional is
@@ -38,37 +34,6 @@ from ..params import ParamSpace
 
 class UnsupportedOperationError(RuntimeError):
     """Raised when a model is asked for an operation it does not have."""
-
-
-@dataclass
-class ConditionalSpec:
-    """Full-conditional description of one parameter block.
-
-    A closed-form spec names its ``family`` and holds its parameters as
-    plain floats or arrays in ``params``:
-
-    - ``InverseGamma``: ``alpha`` (shape), ``beta`` (scale), density
-      beta^alpha / Gamma(alpha) x^-(alpha+1) exp(-beta/x)
-    - ``Gaussian``: ``mean``, ``var`` (variance)
-    - ``MvGaussian``: ``mean``, ``cov``
-    - ``Dirichlet``: ``alpha`` (concentrations)
-    - ``Categorical``: ``p`` (probabilities)
-
-    A generic spec holds the 1-D log density ``logpdf``, up to a constant.
-    """
-
-    kind: str  # "closed_form" | "generic"
-    family: str | None = None
-    params: dict | None = None
-    logpdf: Callable[[float], float] | None = None
-
-    @classmethod
-    def closed_form(cls, family: str, **params) -> "ConditionalSpec":
-        return cls(kind="closed_form", family=family, params=params)
-
-    @classmethod
-    def generic(cls, logpdf: Callable[[float], float]) -> "ConditionalSpec":
-        return cls(kind="generic", logpdf=logpdf)
 
 
 class Model:
@@ -131,9 +96,6 @@ class Model:
         return self.space.unconstrain(self.initial_params())
 
     def gibbs_scan(self, state: dict, rng: np.random.Generator, slice_fn) -> None:
-        raise NotImplementedError
-
-    def full_conditional(self, block: str, params: dict) -> ConditionalSpec:
         raise NotImplementedError
 
 

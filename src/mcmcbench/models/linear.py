@@ -25,7 +25,6 @@ import numpy as np
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
 from .base import (
-    ConditionalSpec,
     LassoPrior,
     Model,
     UnsupportedOperationError,
@@ -130,6 +129,25 @@ class LinearModel(Model):
         s2 = sig**2
         cA = cho_factor(self.XtX / s2 + np.eye(self.p) / self.hyper["M"] ** 2, lower=True)
         return cA, cho_solve(cA, self.Xty / s2)
+
+    def _sigma_logdens(self, beta):
+        """LM-WI/NI log full conditional of sigma given beta, up to a constant."""
+        h = self.hyper
+        r = self.y - self.X @ beta
+        rr = float(r @ r)
+
+        def logpdf(sig):
+            if sig <= 0:
+                return -math.inf
+            s2 = sig**2
+            out = -self.n * math.log(sig) - rr / (2.0 * s2)
+            if self.prior_id == "LM-WI":
+                return out - math.log(s2 + h["d0"] ** 2)
+            if sig >= h["sigma0"]:
+                return -math.inf
+            return out
+
+        return logpdf
 
     def _lasso_beta_logdens(self, r, j, bj, s2, root):
         """LM-L log full conditional of beta[j], up to a constant.
@@ -244,8 +262,8 @@ class LinearModel(Model):
             cA, mean = self._beta_given_sigma(sig)
             z = rng.standard_normal(self.p)
             state["beta"] = mean + solve_triangular(cA[0], z, lower=True, trans="T")
-            spec = self.full_conditional("sigma", state)
-            state["sigma"] = np.array([slice_fn(spec.logpdf, sig, "sigma")])
+            logpdf = self._sigma_logdens(state["beta"])
+            state["sigma"] = np.array([slice_fn(logpdf, sig, "sigma")])
             return
         # LM-L: coordinate slice on beta, conjugate sigma2, slice on lambda2
         beta = state["beta"]
@@ -262,53 +280,8 @@ class LinearModel(Model):
                 beta[j] = new
         a, b = self._sigma2_ab(beta, r)
         state["sigma2"] = np.array([1.0 / rng.gamma(a, 1.0 / b)])
-        spec = self.full_conditional("lambda2", state)
-        state["lambda2"] = np.array([slice_fn(spec.logpdf, lam2, "lambda2")])
-
-    def full_conditional(self, block, params):
-        h = self.hyper
-        beta = np.asarray(params["beta"], dtype=float)
-        if block == "sigma2" and self.prior_id in ("LM-C", "LM-L"):
-            a, b = self._sigma2_ab(beta, self.y - self.X @ beta)
-            return ConditionalSpec.closed_form("InverseGamma", alpha=a, beta=b)
-        if block == "beta" and self.prior_id == "LM-C":
-            s2 = float(np.atleast_1d(params["sigma2"])[0])
-            return ConditionalSpec.closed_form("MvGaussian", mean=self._beta_hat, cov=s2 * self._V)
-        if self.prior_id in ("LM-WI", "LM-NI"):
-            if block == "beta":
-                from scipy.linalg import cho_solve
-
-                cA, mean = self._beta_given_sigma(float(np.atleast_1d(params["sigma"])[0]))
-                cov = cho_solve(cA, np.eye(self.p))
-                return ConditionalSpec.closed_form("MvGaussian", mean=mean, cov=cov)
-            if block == "sigma":
-                r = self.y - self.X @ beta
-                rr = float(r @ r)
-
-                def logpdf(sig):
-                    if sig <= 0:
-                        return -math.inf
-                    s2 = sig**2
-                    out = -self.n * math.log(sig) - rr / (2.0 * s2)
-                    if self.prior_id == "LM-WI":
-                        return out - math.log(s2 + h["d0"] ** 2)
-                    if sig >= h["sigma0"]:
-                        return -math.inf
-                    return out
-
-                return ConditionalSpec.generic(logpdf)
-        if self.prior_id == "LM-L":
-            if block == "lambda2":
-                return ConditionalSpec.generic(self.lasso.lambda2_logpdf(beta))
-            if block.startswith("beta["):
-                j = int(block[5:-1])
-                s2 = float(np.atleast_1d(params["sigma2"])[0])
-                lam2 = float(np.atleast_1d(params["lambda2"])[0])
-                r = self.y - self.X @ beta
-                return ConditionalSpec.generic(
-                    self._lasso_beta_logdens(r, j, beta[j], s2, math.sqrt(lam2))
-                )
-        raise KeyError(f"no conditional for block {block!r} under {self.prior_id}")
+        logpdf = self.lasso.lambda2_logpdf(beta)
+        state["lambda2"] = np.array([slice_fn(logpdf, lam2, "lambda2")])
 
     # ---- conjugate oracle ------------------------------------------
 

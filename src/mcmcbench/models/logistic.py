@@ -12,7 +12,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace
-from .base import ConditionalSpec, LassoPrior, Model, gaussian_prior, memo_logdens, merge_hyper
+from .base import LassoPrior, Model, gaussian_prior, memo_logdens, merge_hyper
 
 HYPER_DEFAULTS = {
     "LR-N": {"b02": 10.0},
@@ -120,20 +120,5 @@ class LogisticModel(Model):
                 eta += (new - bj) * self._XT[j]
                 beta[j] = new
         if self.prior_id == "LR-L":
-            spec = self.full_conditional("lambda2", state)
-            state["lambda2"] = np.array([slice_fn(spec.logpdf, lam2, "lambda2")])
-
-    def full_conditional(self, block, params):
-        beta = np.asarray(params["beta"], dtype=float)
-        if block.startswith("beta["):
-            j = int(block[5:-1])
-            root = None
-            if self.prior_id == "LR-L":
-                root = math.sqrt(float(np.atleast_1d(params["lambda2"])[0]))
-            eta = self.X @ beta
-            return ConditionalSpec.generic(
-                self._beta_logdens(eta, j, beta[j], root, np.empty_like(eta))[0]
-            )
-        if block == "lambda2" and self.prior_id == "LR-L":
-            return ConditionalSpec.generic(self.lasso.lambda2_logpdf(beta))
-        raise KeyError(f"no conditional for block {block!r} under {self.prior_id}")
+            logpdf = self.lasso.lambda2_logpdf(beta)
+            state["lambda2"] = np.array([slice_fn(logpdf, lam2, "lambda2")])

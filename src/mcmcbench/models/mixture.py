@@ -21,7 +21,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax
-from .base import ConditionalSpec, Model, ig_logpdf, merge_hyper
+from .base import Model, ig_logpdf, merge_hyper
 
 HYPER_DEFAULTS = {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
 # Draws per evaluation in ``log_likelihood_draws``: 32 draws of H=4, n=1000
@@ -204,9 +204,6 @@ class MixtureModel(Model):
             "p": np.full(self.H, 1.0 / self.H),
         }
 
-    def initial_z(self, params) -> np.ndarray:
-        return np.argmin(np.abs(self.y[:, None] - params["mu"][None, :]), axis=1)
-
     def _allocation_probs(self, params) -> np.ndarray:
         """(H, n) matrix of P(z_i = h | y_i, params); each column sums to 1."""
         w = self._component_logpdf(params)
@@ -224,7 +221,7 @@ class MixtureModel(Model):
         u = rng.random(self.n)
         return (u > cum[: self.H - 1]).sum(axis=0)
 
-    # conjugate blocks given z: gibbs_scan draws from these, full_conditional reports them
+    # conjugate blocks given z: gibbs_scan draws from these
 
     def _mu_given(self, z, counts, s, v2):
         """(mean, precision) of mu_h | z, sigma2, v2, y, per component."""
@@ -260,32 +257,6 @@ class MixtureModel(Model):
         state["v2"] = np.array([1.0 / rng.gamma(av, 1.0 / bv)])
         g = rng.gamma(self._p_given(counts), 1.0)
         state["p"] = g / g.sum()
-
-    def full_conditional(self, block, params):
-        if block.startswith("z["):
-            i = int(block[2:-1])
-            w = self._allocation_probs(params)[:, i]
-            return ConditionalSpec.closed_form("Categorical", p=w)
-        z = params.get("z")
-        if z is None:
-            raise KeyError("conditionals for continuous blocks need z in params")
-        mu = np.asarray(params["mu"], dtype=float)
-        s = np.asarray(params["sigma2"], dtype=float)
-        counts = np.bincount(z, minlength=self.H).astype(float)
-        if block.startswith("mu["):
-            k = int(block[3:-1])
-            mean, prec = self._mu_given(z, counts, s, float(np.atleast_1d(params["v2"])[0]))
-            return ConditionalSpec.closed_form("Gaussian", mean=mean[k], var=1.0 / prec[k])
-        if block.startswith("sigma2["):
-            k = int(block[7:-1])
-            a, b = self._sigma2_given(z, counts, mu)
-            return ConditionalSpec.closed_form("InverseGamma", alpha=a[k], beta=b[k])
-        if block == "v2":
-            a, b = self._v2_given(mu)
-            return ConditionalSpec.closed_form("InverseGamma", alpha=a, beta=b)
-        if block == "p":
-            return ConditionalSpec.closed_form("Dirichlet", alpha=self._p_given(counts))
-        raise KeyError(f"no conditional for block {block!r}")
 
 
 def predictive_density(chain, y, H: int | None = None):

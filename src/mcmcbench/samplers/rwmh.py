@@ -19,7 +19,7 @@ TARGET_ACCEPT_BLOCK = 0.234
 def start(model, cfg, rng):
     u = model.initial_u().copy()
     latent = model.is_latent
-    z = model.initial_z(model.space.constrain(u)) if latent else None
+    z = None  # a latent model draws z, and then current, at the top of each step
 
     blocks = [(b.name, model.space.u_slice(b.name), b.size) for b in model.space.blocks]
     log_scale = {nm: math.log(0.5) for nm, _, _ in blocks}
@@ -28,7 +28,7 @@ def start(model, cfg, rng):
     def logp(uu, zz):
         return model.log_posterior_u(uu, zz) if latent else model.log_posterior_u(uu)
 
-    current = logp(u, z)
+    current = None if latent else logp(u, z)
 
     def step(it):
         nonlocal u, z, current

@@ -121,7 +121,6 @@ def test_aft_support_and_truth():
     assert np.all(ds.y > 0)
     assert set(np.unique(ds.delta)) <= {0, 1}
     assert np.all(np.abs(ds.truth.beta) <= 1.0)
-    assert ds.truth.censoring_target == 0.3
 
 
 def test_aft_invalid_k():

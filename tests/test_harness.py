@@ -132,14 +132,16 @@ def test_same_dataset_across_backends():
     np.testing.assert_array_equal(a.X, b.X)
 
 
-def test_run_experiment_rows_and_timing():
-    cfg = quick_cfg(backends=("gibbs", "nuts"))
+@pytest.mark.parametrize("chains", [1, 2])
+def test_run_experiment_rows_and_timing(chains):
+    # t_s sums the chains' sampling times, so the rate counts every chain's iterations
+    cfg = quick_cfg(backends=("gibbs", "nuts"), chains=chains)
     reports = run_experiment(cfg)
     assert set(reports) == {"gibbs", "nuts"}
     for rep in reports.values():
         row = rep.row()
         assert row["N_it"] == 300
-        assert row["N_it_per_s"] == pytest.approx(300 / rep.t_s)
+        assert row["N_it_per_s"] == pytest.approx(chains * 300 / rep.t_s)
         assert row["kl"] == ""  # not a mixture
         assert 0 < row["mean_E"] <= 1.0
     assert reports["nuts"].row()["n_divergences"] != "-"

@@ -334,18 +334,12 @@ def test_mixture_batched_pointwise_matches_per_draw_rows(H):
 # full conditionals
 
 
-def _closed(model, block, params, family):
-    """The parameters of ``block``'s closed-form conditional, checking its family."""
-    spec = model.full_conditional(block, params)
-    assert (spec.kind, spec.family) == ("closed_form", family)
-    return spec.params
-
-
 def test_lrn_beta_conditional_generic():
     model = build("LR-N", seed=13)
-    spec = model.full_conditional("beta[0]", {"beta": np.zeros(3)})
-    assert spec.kind == "generic"
-    assert math.isfinite(spec.logpdf(0.2))
+    beta = np.zeros(3)
+    eta = model.X @ beta
+    logpdf = model._beta_logdens(eta, 0, beta[0], None, np.empty_like(eta))[0]
+    assert math.isfinite(logpdf(0.2))
 
 
 def _lm_c_sigma2():
@@ -353,38 +347,41 @@ def _lm_c_sigma2():
     model = get_model("LM-C", ds)
     h = HYPER_DEFAULTS["LM-C"]
     beta = np.array([0.3, -1.0, 0.5])
-    got = _closed(model, "sigma2", {"beta": beta, "sigma2": np.array([1.0])}, "InverseGamma")
     r = ds.y - ds.X @ beta
+    got = model._sigma2_ab(beta, r)
     want_b = (h["eta0"] * h["sigma02"] + math.fsum(r * r) + math.fsum(beta * beta)) / 2.0
-    return [got["alpha"], got["beta"]], [(h["eta0"] + 40 + 3) / 2.0, want_b]
+    return got, [(h["eta0"] + 40 + 3) / 2.0, want_b]
 
 
-def _mvgaussian(got, mean, cov):
-    """(got, want) of an MvGaussian's mean and covariance, the covariance scaled to 1."""
-    scale = np.abs(cov).max()
+def _mvgaussian(mean_got, mat_got, mean, mat):
+    """(got, want) of a Gaussian's mean and a covariance or precision, the matrix scaled to 1."""
+    scale = np.abs(mat).max()
     return (
-        np.concatenate([got["mean"], got["cov"].ravel() / scale]),
-        np.concatenate([mean, cov.ravel() / scale]),
+        np.concatenate([mean_got, mat_got.ravel() / scale]),
+        np.concatenate([mean, mat.ravel() / scale]),
     )
 
 
 def _lm_c_beta():
+    # the scan draws beta_hat + sqrt(s2) Lv z, so its covariance is s2 Lv Lv'
     ds = datagen.gen_linear(40, 3, seed=25)
     model = get_model("LM-C", ds)
     s2 = 1.7
     V = np.linalg.inv(ds.X.T @ ds.X + np.eye(3))
-    got = _closed(model, "beta", {"beta": np.zeros(3), "sigma2": np.array([s2])}, "MvGaussian")
-    return _mvgaussian(got, V @ (ds.X.T @ ds.y), s2 * V)
+    got_cov = s2 * model._Lv @ model._Lv.T
+    return _mvgaussian(model._beta_hat, got_cov, V @ (ds.X.T @ ds.y), s2 * V)
 
 
 def _lm_sigma_beta(prior):
+    # the scan draws mean + L'^-1 z with the lower factor L of the precision
     ds = datagen.gen_linear(40, 3, seed=24)
     model = get_model(prior, ds)
     sig = 1.3
     precision = ds.X.T @ ds.X / sig**2 + np.eye(3) / model.hyper["M"] ** 2
-    cov = np.linalg.inv(precision)
-    got = _closed(model, "beta", {"beta": np.zeros(3), "sigma": np.array([sig])}, "MvGaussian")
-    return _mvgaussian(got, cov @ (ds.X.T @ ds.y) / sig**2, cov)
+    cA, mean = model._beta_given_sigma(sig)
+    L = np.tril(cA[0])
+    want_mean = np.linalg.solve(precision, ds.X.T @ ds.y) / sig**2
+    return _mvgaussian(mean, L @ L.T, want_mean, precision)
 
 
 def _mm_state():
@@ -398,53 +395,53 @@ def _mm_state():
         "p": np.array([0.2, 0.3, 0.4, 0.1]),
         "z": np.arange(30) % 4,
     }
-    return model, params
+    counts = np.bincount(params["z"], minlength=4).astype(float)
+    return model, params, counts
 
 
 def _mm_z():
     # enumerate the allocations of one observation
-    model, prm = _mm_state()
-    got = _closed(model, "z[2]", prm, "Categorical")["p"]
+    model, prm, _ = _mm_state()
+    got = model._allocation_probs(prm)[:, 2]
     w = prm["p"] * stats.norm.pdf(model.y[2], prm["mu"], np.sqrt(prm["sigma2"]))
     return got, w / w.sum()
 
 
 def _mm_mu():
-    model, prm = _mm_state()
+    model, prm, counts = _mm_state()
+    mean, prec = model._mu_given(prm["z"], counts, prm["sigma2"], float(prm["v2"][0]))
     got, want = [], []
     for k in range(4):
         yk = model.y[prm["z"] == k]
         s = prm["sigma2"][k]
-        prec = yk.size / s + 1.0 / prm["v2"][0]
-        par = _closed(model, f"mu[{k}]", prm, "Gaussian")
-        got += [par["mean"], par["var"]]
-        want += [math.fsum(yk) / s / prec, 1.0 / prec]
+        want_prec = yk.size / s + 1.0 / prm["v2"][0]
+        got += [mean[k], prec[k]]
+        want += [math.fsum(yk) / s / want_prec, want_prec]
     return got, want
 
 
 def _mm_sigma2():
-    model, prm = _mm_state()
+    model, prm, counts = _mm_state()
     h = model.hyper
+    a, b = model._sigma2_given(prm["z"], counts, prm["mu"])
     got, want = [], []
     for k in range(4):
         yk = model.y[prm["z"] == k]
-        par = _closed(model, f"sigma2[{k}]", prm, "InverseGamma")
-        got += [par["alpha"], par["beta"]]
+        got += [a[k], b[k]]
         want += [h["c0"] + yk.size / 2.0, h["d0"] + math.fsum((yk - prm["mu"][k]) ** 2) / 2.0]
     return got, want
 
 
 def _mm_v2():
-    model, prm = _mm_state()
+    model, prm, _ = _mm_state()
     h = model.hyper
-    par = _closed(model, "v2", prm, "InverseGamma")
-    return [par["alpha"], par["beta"]], [h["a0"] + 2.0, h["b0"] + math.fsum(prm["mu"] ** 2) / 2.0]
+    return model._v2_given(prm["mu"]), [h["a0"] + 2.0, h["b0"] + math.fsum(prm["mu"] ** 2) / 2.0]
 
 
 def _mm_p():
-    model, prm = _mm_state()
-    counts = [np.sum(prm["z"] == k) for k in range(4)]
-    return _closed(model, "p", prm, "Dirichlet")["alpha"], [1.0 + c for c in counts]
+    model, prm, counts = _mm_state()
+    want = [1.0 + np.sum(prm["z"] == k) for k in range(4)]
+    return model._p_given(counts), want
 
 
 def _lm_l_state():
@@ -469,7 +466,7 @@ def _lasso_lambda2_differences(model, params):
         lp = stats.laplace.logpdf(beta, scale=1.0 / math.sqrt(lam)).sum()
         return lp + stats.expon.logpdf(lam, scale=1.0 / model.hyper["lambda0"])
 
-    logpdf = model.full_conditional("lambda2", params).logpdf
+    logpdf = model.lasso.lambda2_logpdf(beta)
     lams = (0.05, 0.5, 3.0, 20.0)
     return (
         [logpdf(lam) - logpdf(1.0) for lam in lams],
@@ -481,9 +478,9 @@ def _lm_l_sigma2():
     model, prm = _lm_l_state()
     h = model.hyper
     r = model.y - model.X @ prm["beta"]
-    par = _closed(model, "sigma2", prm, "InverseGamma")
+    got = model._sigma2_ab(prm["beta"], r)
     want_b = (h["nu0"] * h["sigma02"] + math.fsum(r * r)) / 2.0
-    return [par["alpha"], par["beta"]], [(h["nu0"] + 40) / 2.0, want_b]
+    return got, [(h["nu0"] + 40) / 2.0, want_b]
 
 
 def _lm_l_lambda2():
@@ -514,7 +511,7 @@ CONDITIONAL_CASES = {
 
 @pytest.mark.parametrize("case", list(CONDITIONAL_CASES))
 def test_conditional_parameters_match_algebra(case):
-    # the parameters full_conditional reports are the ones gibbs_scan draws from
+    # the per-block helpers gibbs_scan draws from, against hand algebra
     got, want = CONDITIONAL_CASES[case]()
     want = np.asarray(want, dtype=float)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -532,6 +529,25 @@ def _slice_state(prior, seed):
     return model, params
 
 
+def _beta_conditional(model, params, j):
+    """The density of beta[j] the scan slices on, given the observed data."""
+    beta = params["beta"]
+    eta = model.X @ beta
+    buf = np.empty_like(eta)
+    if model.family == "AFT":
+        sigma = float(params["sigma"][0])
+        return model._beta_logdens(model.logy, model.delta, eta, j, beta[j], sigma, buf)[0]
+    root = math.sqrt(float(params["lambda2"][0])) if model.prior_id == "LR-L" else None
+    return model._beta_logdens(eta, j, beta[j], root, buf)[0]
+
+
+def _sigma_conditional(model, beta):
+    """The density of sigma the scan slices on, given beta and the observed data."""
+    if model.family == "AFT":
+        return model._sigma_logdens(model.logy, model.delta, model.X @ beta)
+    return model._sigma_logdens(beta)
+
+
 @pytest.mark.parametrize("prior", ["LR-N", "LR-L", "AFT-NH", "AFT-NI"])
 @pytest.mark.parametrize("j", [0, 3])
 def test_slice_conditional_matches_posterior_differences(prior, j):
@@ -540,7 +556,7 @@ def test_slice_conditional_matches_posterior_differences(prior, j):
     model, params = _slice_state(prior, seed=31 + j)
     u = model.space.unconstrain(params)
     params = model.space.constrain(u)
-    logpdf = model.full_conditional(f"beta[{j}]", params).logpdf
+    logpdf = _beta_conditional(model, params, j)
     k = model.space.u_slice("beta").start + j
     for b1, b2 in [(-1.3, 0.4), (0.9, 2.1), (params["beta"][j], -0.2)]:
         u1, u2 = u.copy(), u.copy()
@@ -556,7 +572,7 @@ def test_sigma_conditional_matches_posterior_differences(prior):
     # constant in sigma: a wrong event term or hazard sum shows here
     model = build(prior, seed=17, n=40, p=4)
     beta = rng(18).normal(0.0, 0.5, 4)
-    logpdf = model.full_conditional("sigma", {"beta": beta, "sigma": np.array([1.0])}).logpdf
+    logpdf = _sigma_conditional(model, beta)
 
     def log_post(s):
         params = {"beta": beta, "sigma": np.array([s])}
@@ -566,6 +582,48 @@ def test_sigma_conditional_matches_posterior_differences(prior):
         lp1, lp2 = log_post(s1), log_post(s2)
         got = logpdf(s1) - logpdf(s2)
         assert abs(got - (lp1 - lp2)) <= 1e-12 * max(abs(lp1), abs(lp2)), (s1, s2)
+
+
+@pytest.mark.parametrize("prior", ["LM-WI", "LM-NI", "LM-L", "LR-L", "AFT-NH"])
+def test_scan_slices_on_conditional_at_current_state(prior):
+    # the sigma or lambda2 density one scan slices on is the helper's density
+    # at the state after that scan's beta update, not before it
+    from mcmcbench.samplers.slice_sampling import slice_step
+
+    model = build(prior, seed=51, n=60, p=4)
+    block = "lambda2" if prior in ("LM-L", "LR-L") else "sigma"
+    state = {k: np.array(v, dtype=float) for k, v in model.initial_params().items()}
+    r = rng(52)
+    captured = {}
+
+    def slice_fn(logpdf, x0, name):
+        if name == block:
+            captured["logpdf"] = logpdf
+        return slice_step(logpdf, x0, r, w=1.0, block=name)
+
+    if model.family == "AFT":
+        # the completed data the scan's beta updates see
+        beta_logdens = model._beta_logdens
+
+        def spy(logy, delta, *args):
+            captured["data"] = (logy, delta)
+            return beta_logdens(logy, delta, *args)
+
+        model._beta_logdens = spy
+    before = state["beta"].copy()
+    model.gibbs_scan(state, r, slice_fn)
+    beta = state["beta"]
+    assert not np.array_equal(beta, before)
+    if model.family == "AFT":
+        want = model._sigma_logdens(*captured["data"], model.X @ beta)
+    elif block == "sigma":
+        want = model._sigma_logdens(beta)
+    else:
+        want = model.lasso.lambda2_logpdf(beta)
+    got = captured["logpdf"]
+    for x in (0.3, 1.7, 4.0):
+        d_want = want(x) - want(1.0)
+        assert got(x) - got(1.0) == pytest.approx(d_want, rel=1e-10, abs=1e-10), x
 
 
 @pytest.mark.parametrize("prior", ["LR-N", "LR-L", "AFT-NH"])
