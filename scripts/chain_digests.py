@@ -28,7 +28,7 @@ import json
 import numpy as np
 
 from mcmcbench.harness import ExperimentConfig, run_experiment
-from mcmcbench.models import PRIOR_TAGS
+from mcmcbench.models import PRIORS
 
 TIMING_CELLS = ("t_s", "N_it_per_s")
 
@@ -38,7 +38,7 @@ def sha256(data: bytes) -> str:
 
 
 def main():
-    for prior in PRIOR_TAGS:
+    for prior in PRIORS:
         reports = run_experiment(ExperimentConfig(prior=prior, n_iter=2000, n_burn=1000, seed=0))
         for backend, rep in sorted(reports.items()):
             chain = rep.chain

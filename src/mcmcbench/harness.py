@@ -13,40 +13,21 @@ import io
 import json
 import os
 import time
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import datagen, diagnostics
-from .models import FAMILY_OF, HYPER_DEFAULTS, get_model
+from .models import PRIORS, get_model
 from .models.base import merge_hyper
 from .models.mixture import predictive_density
 from .samplers import BACKENDS, SamplerConfig, chain_rng
 from .samplers import run as run_backend_sampler
 
 
-class PriorDesign(NamedTuple):
-    generate: Callable  # the ``datagen.gen_*`` function that draws the prior's data
-    fields: tuple  # the design fields it draws, besides n and seed
-    schedule: tuple  # default (N_it, N_b); N_thin defaults to 2
-
-
-PRIORS = {
-    "LM-C": PriorDesign(datagen.gen_linear, ("p", "covariates"), (11000, 1000)),
-    "LM-WI": PriorDesign(datagen.gen_linear, ("p", "covariates"), (15000, 5000)),
-    "LM-NI": PriorDesign(datagen.gen_linear, ("p", "covariates"), (15000, 5000)),
-    "LM-L": PriorDesign(datagen.gen_linear, ("p", "covariates", "zero_pattern"), (20000, 10000)),
-    "LR-N": PriorDesign(datagen.gen_logistic, ("p", "zero_pattern"), (20000, 10000)),
-    "LR-L": PriorDesign(datagen.gen_logistic, ("p", "zero_pattern"), (15000, 10000)),
-    "MM": PriorDesign(datagen.gen_mixture, ("H",), (20000, 10000)),
-    "AFT-NH": PriorDesign(datagen.gen_aft, ("p", "k"), (10000, 5000)),
-    "AFT-NI": PriorDesign(datagen.gen_aft, ("p", "k"), (10000, 5000)),
-}
 # A design field the prior's data draws takes this value when the config leaves it None.
 DESIGN_DEFAULTS = {"p": 4, "H": 2, "k": 0.5, "covariates": "continuous", "zero_pattern": 0}
 
@@ -121,11 +102,11 @@ class ExperimentConfig:
             raise ValueError(f"repeated backend names in {self.backends}")
         for backend in self.backends:
             self.sampler_config(backend)  # rejects unknown backends and bad schedules
-        merge_hyper(HYPER_DEFAULTS[self.prior], self.hyper)  # rejects unknown keys
+        merge_hyper(PRIORS[self.prior].hyper, self.hyper)  # rejects unknown keys
 
     @property
     def family(self) -> str:
-        return FAMILY_OF[self.prior]
+        return PRIORS[self.prior].model.family
 
     @property
     def p_or_H(self) -> int:

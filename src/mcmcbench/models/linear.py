@@ -8,9 +8,6 @@ Priors on (beta, scale):
 - ``LM-L``  lasso: beta_j | l2 ~ DoubleExponential(0, 1/sqrt(l2)),
   l2 ~ Exp(lambda0), s2 ~ IG(nu0/2, nu0*s02/2)
 
-The conjugate case also provides the exact Normal-Inverse-Gamma
-posterior used as a sanity oracle by the samplers' tests.
-
 The Cholesky solves come from ``scipy.linalg``, imported in the methods
 that call them so that ``import mcmcbench`` does not load scipy.
 """
@@ -18,7 +15,6 @@ that call them so that ``import mcmcbench`` does not load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +23,6 @@ from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
 from .base import (
     LassoPrior,
     Model,
-    UnsupportedOperationError,
     gaussian_loglik,
     gaussian_prior,
     ig_logpdf,
@@ -40,27 +35,6 @@ HYPER_DEFAULTS = {
     "LM-NI": {"M": 100.0, "sigma0": 1000.0},
     "LM-L": {"lambda0": 0.1, "nu0": 1e-4, "sigma02": 1.0},
 }
-
-
-@dataclass
-class ClosedFormLMPosterior:
-    """Normal-Inverse-Gamma posterior of the conjugate linear model.
-
-    beta | s2, y ~ N(beta_hat, s2 * V_n) and s2 | y ~ IG(alpha_n, beta_n).
-    """
-
-    V_n: np.ndarray
-    beta_hat: np.ndarray
-    alpha_n: float
-    beta_n: float
-
-    @property
-    def sigma2_mean(self) -> float:
-        return self.beta_n / (self.alpha_n - 1.0)
-
-    @property
-    def beta_marginal_var(self) -> np.ndarray:
-        return np.diag(self.V_n) * self.sigma2_mean
 
 
 class LinearModel(Model):
@@ -90,7 +64,7 @@ class LinearModel(Model):
         if prior_id == "LM-C":
             from scipy.linalg import cho_factor, cho_solve
 
-            # V = (X'X + I)^-1 via its Cholesky; reused by Gibbs and oracle
+            # V = (X'X + I)^-1 via its Cholesky; reused by Gibbs
             self._cho_A = cho_factor(self.XtX + np.eye(p), lower=True)
             self._V = cho_solve(self._cho_A, np.eye(p))
             self._Lv = np.linalg.cholesky(self._V)
@@ -282,17 +256,3 @@ class LinearModel(Model):
         state["sigma2"] = np.array([1.0 / rng.gamma(a, 1.0 / b)])
         logpdf = self.lasso.lambda2_logpdf(beta)
         state["lambda2"] = np.array([slice_fn(logpdf, lam2, "lambda2")])
-
-    # ---- conjugate oracle ------------------------------------------
-
-    def closed_form_posterior(self) -> ClosedFormLMPosterior:
-        if self.prior_id != "LM-C":
-            raise UnsupportedOperationError("closed-form posterior exists only under LM-C")
-        h = self.hyper
-        quad = float(self._beta_hat @ (self.XtX + np.eye(self.p)) @ self._beta_hat)
-        return ClosedFormLMPosterior(
-            V_n=self._V.copy(),
-            beta_hat=self._beta_hat.copy(),
-            alpha_n=(h["eta0"] + self.n) / 2.0,
-            beta_n=(h["eta0"] * h["sigma02"] + float(self.y @ self.y) - quad) / 2.0,
-        )

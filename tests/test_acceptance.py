@@ -35,10 +35,11 @@ def _verdict(num: int, label: str, ok: bool, note: str = "") -> None:
     assert ok, line
 
 
-def test_1_conjugate_oracle_every_backend():
+def test_1_conjugate_oracle_every_backend(lmc_posterior):
     """Posterior means of beta match the closed-form conjugate answer."""
     cfg = ExperimentConfig(prior="LM-C", n=100, p=4, seed=0)
-    oracle = get_model("LM-C", make_dataset(cfg)).closed_form_posterior()
+    ds = make_dataset(cfg)
+    oracle = lmc_posterior(ds.X, ds.y, PRIORS["LM-C"].hyper)
     reports = run_experiment(cfg)
     ok = True
     for backend, rep in reports.items():

@@ -8,7 +8,8 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from mcmcbench import datagen
-from mcmcbench.models import get_model
+from mcmcbench.harness import ExperimentConfig
+from mcmcbench.models import PRIORS, get_model
 from mcmcbench.models.base import UnsupportedOperationError
 from mcmcbench.models.linear import HYPER_DEFAULTS
 
@@ -17,33 +18,29 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def small_dataset(prior, seed=0, n=30, p=3, **kw):
-    family = prior.split("-")[0] if prior != "MM" else "MM"
-    if family == "LM":
-        return datagen.gen_linear(n, p, seed=seed, **kw)
-    if family == "LR":
-        return datagen.gen_logistic(n, p, seed=seed, **kw)
-    if family == "MM":
-        return datagen.gen_mixture(n, kw.get("H", 2), seed=seed)
-    return datagen.gen_aft(n, p, kw.get("k", 0.4), seed=seed)
+def small_dataset(prior, seed=0, n=30, p=3, H=2, k=0.4):
+    """The prior's data from its own generator, at the design fields it draws."""
+    design = PRIORS[prior]
+    values = {"p": p, "H": H, "k": k}
+    return design.generate(n, seed=seed, **{f: values[f] for f in design.fields if f in values})
 
 
-GRAD_MODELS = [
-    "LM-C",
-    "LM-WI",
-    "LM-NI",
-    "LM-L",
-    "LR-N",
-    "LR-L",
-    "MM",
-    "AFT-NH",
-    "AFT-NI",
-]
+GRAD_MODELS = list(PRIORS)
 
 
-def build(prior, seed=0, n=30, p=3, **kw):
-    ds = small_dataset(prior, seed=seed, n=n, p=p, **kw)
-    return get_model(prior, ds, H=kw.get("H", 2), parameterization="marginal")
+def build(prior, seed=0, n=30, p=3, H=2):
+    ds = small_dataset(prior, seed=seed, n=n, p=p, H=H)
+    return get_model(prior, ds, H=H, parameterization="marginal")
+
+
+@pytest.mark.parametrize("prior", list(PRIORS))
+def test_prior_table_builds_its_model(prior):
+    model = get_model(prior, small_dataset(prior), H=2)
+    assert isinstance(model, PRIORS[prior].model)
+    assert model.prior_id == prior
+    assert model.family == ExperimentConfig(prior=prior).family
+    with pytest.raises(ValueError, match="nope"):
+        ExperimentConfig(prior=prior, hyper={"nope": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -662,44 +659,40 @@ def test_slice_memo_handoff_is_exact(monkeypatch, prior):
 
 
 # ---------------------------------------------------------------------------
-# LM-C closed-form oracle
+# LM-C closed form: the model's (X'X + I)^-1 and mean, and the test oracle
 
 
-def test_closed_form_symmetric_single_obs():
+def test_closed_form_symmetric_single_obs(lmc_posterior):
     ds = datagen.Dataset(y=np.array([0.0]), X=np.array([[1.0]]),
                          truth=datagen.GroundTruth())
-    post = get_model("LM-C", ds).closed_form_posterior()
+    assert get_model("LM-C", ds)._beta_hat[0] == pytest.approx(0.0, abs=1e-14)
+    post = lmc_posterior(ds.X, ds.y, HYPER_DEFAULTS["LM-C"])
     assert post.beta_hat[0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_closed_form_empty_data_returns_prior():
+def test_closed_form_empty_data_returns_prior(lmc_posterior):
     ds = datagen.Dataset(y=np.zeros(0), X=np.zeros((0, 2)), truth=datagen.GroundTruth())
-    post = get_model("LM-C", ds).closed_form_posterior()
+    model = get_model("LM-C", ds)
     h = HYPER_DEFAULTS["LM-C"]
-    np.testing.assert_allclose(post.V_n, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(post.beta_hat, 0.0, atol=1e-14)
+    post = lmc_posterior(ds.X, ds.y, h)
+    np.testing.assert_allclose(model._V, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(model._beta_hat, 0.0, atol=1e-14)
     assert post.alpha_n == pytest.approx(h["eta0"] / 2.0)
     assert post.beta_n == pytest.approx(h["eta0"] * h["sigma02"] / 2.0)
 
 
-def test_closed_form_matches_direct_algebra():
+def test_closed_form_matches_direct_algebra(lmc_posterior):
     ds = datagen.gen_linear(50, 3, seed=15)
-    post = get_model("LM-C", ds).closed_form_posterior()
+    model = get_model("LM-C", ds)
     h = HYPER_DEFAULTS["LM-C"]
+    post = lmc_posterior(ds.X, ds.y, h)
     Vn = np.linalg.inv(ds.X.T @ ds.X + np.eye(3))
     bh = Vn @ ds.X.T @ ds.y
-    np.testing.assert_allclose(post.V_n, Vn, atol=1e-10)
-    np.testing.assert_allclose(post.beta_hat, bh, atol=1e-10)
+    np.testing.assert_allclose(model._V, Vn, atol=1e-10)
+    np.testing.assert_allclose(model._beta_hat, bh, atol=1e-10)
     assert post.alpha_n == pytest.approx((h["eta0"] + 50) / 2.0)
     quad = ds.y @ ds.y - bh @ (ds.X.T @ ds.X + np.eye(3)) @ bh
     assert post.beta_n == pytest.approx((h["eta0"] * h["sigma02"] + quad) / 2.0, rel=1e-10)
-
-
-def test_closed_form_wrong_prior_raises():
-    ds = datagen.gen_linear(10, 2, seed=16)
-    model = get_model("LM-WI", ds)
-    with pytest.raises(UnsupportedOperationError):
-        model.closed_form_posterior()
 
 
 # ---------------------------------------------------------------------------

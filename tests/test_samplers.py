@@ -337,14 +337,14 @@ def test_unknown_backend():
 # conjugate recovery (small version; the full check lives in the acceptance suite)
 
 
-def test_gibbs_matches_closed_form_lmc():
+def test_gibbs_matches_closed_form_lmc(lmc_posterior):
     ds = datagen.gen_linear(50, 3, seed=11)
     model = get_model("LM-C", ds)
-    post = model.closed_form_posterior()
+    post = lmc_posterior(ds.X, ds.y, model.hyper)
     chain = run("gibbs", model, cfg_for("gibbs", n_iter=4000, n_burn=1000, seed=12))
     for j in range(3):
         col = chain.col(f"beta[{j}]")
-        mc_se = math.sqrt(post.beta_marginal_var[j] / diagnostics.ess(col))
+        mc_se = math.sqrt(post.beta_var[j] / diagnostics.ess(col))
         assert abs(col.mean() - post.beta_hat[j]) < 3.0 * mc_se
     s2 = chain.col("sigma2")
     assert abs(s2.mean() - post.sigma2_mean) / post.sigma2_mean < 0.1
