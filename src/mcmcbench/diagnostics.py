@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ESS_DENOM_FLOOR = 1e-6
+ESS_MIN_DRAWS = 4  # shortest series ess() takes: its max lag n // 2 - 1 must be >= 1
 
 
 class DegenerateSeriesError(ValueError):
@@ -53,9 +54,9 @@ def ess(series):
     """
     x = np.asarray(series, dtype=float)
     n = x.size
+    if n < ESS_MIN_DRAWS:
+        raise ValueError(f"series too short for ESS: {n} draws, need {ESS_MIN_DRAWS}")
     max_lag = n // 2 - 1
-    if max_lag < 1:
-        raise ValueError("series too short for ESS")
     rho = autocorrelation(x, max_lag)
     # Geyer: tau = -1 + 2 * sum_k Gamma_k, Gamma_k = rho_{2k} + rho_{2k+1}
     tau = -1.0

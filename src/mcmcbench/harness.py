@@ -100,8 +100,11 @@ class ExperimentConfig:
             raise ValueError("need at least one backend")
         if len(set(self.backends)) != len(self.backends):
             raise ValueError(f"repeated backend names in {self.backends}")
-        for backend in self.backends:
-            self.sampler_config(backend)  # rejects unknown backends and bad schedules
+        for backend in self.backends:  # sampler_config rejects unknown backends, bad schedules
+            kept = self.sampler_config(backend).n_samples
+            if kept < diagnostics.ESS_MIN_DRAWS:
+                raise ValueError(f"{backend} schedule keeps {kept} draws; ESS needs "
+                                 f"at least {diagnostics.ESS_MIN_DRAWS}")
         merge_hyper(PRIORS[self.prior].hyper, self.hyper)  # rejects unknown keys
 
     @property

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
-from .base import Model, gaussian_prior, memo_logdens, merge_hyper
+from .base import Model, coordinate_sweep, gaussian_prior, merge_hyper
 
 HYPER_DEFAULTS = {
     "AFT-NH": {"b02": 10.0, "lambda0": 1.0},
@@ -122,28 +122,19 @@ class AFTModel(Model):
     def initial_params(self):
         return {"beta": np.zeros(self.p), "sigma": np.array([1.0])}
 
-    def _beta_logdens(self, logy, delta, eta, j, bj, sigma, buf, lik_bj=None):
-        """Log density of beta[j] given the rest, up to a constant, and its memo.
+    def _beta_coordinate(self, j, bj, logy, delta, sigma):
+        """beta[j]'s ``(term, penalty)`` for ``coordinate_logdens``; the terms are the hazards.
 
-        ``eta`` is the linear predictor at beta[j] = bj; ``logy`` and the
-        event indicators ``delta`` are the observed data, or the completed
-        data of the Gibbs scan (every time observed); ``buf`` is scratch
-        space of eta's shape.  The event term -delta @ e / sigma is linear
-        in b and goes with the prior; the memo holds minus the cumulative
-        hazard sum, the only O(n) part, and ``lik_bj`` is that sum at bj if
-        the caller knows it (see ``memo_logdens``).
+        ``logy`` and the event indicators ``delta`` are the observed data, or
+        the completed data of the Gibbs scan (every time observed).  The event
+        term -delta @ e / sigma is linear in b and goes with the prior.
         """
         var = self._beta_var()
-        xj = self._XT[j]
-        dx = float(delta @ xj) / sigma
-
-        def lik(b):
-            # -sum(A) at e = eta + (b - bj) * xj, in place in buf (outputs
-            # passed positionally: keywords cost more)
-            np.add(eta, np.multiply(xj, b - bj, buf), buf)
-            return -float(np.add.reduce(_cum_hazard(logy, buf, sigma, buf)))
-
-        return memo_logdens(lik, lambda b: b * b / (2.0 * var) + (b - bj) * dx, bj, lik_bj)
+        dx = float(delta @ self._XT[j]) / sigma
+        return (
+            lambda e: _cum_hazard(logy, e, sigma, e),
+            lambda b: b * b / (2.0 * var) + (b - bj) * dx,
+        )
 
     def _sigma_logdens(self, logy, delta, eta):
         """Log density of sigma given beta, up to a constant; data as for beta[j].
@@ -182,15 +173,7 @@ class AFTModel(Model):
         A_t = _cum_hazard(self.logy, eta, sigma) + rng.exponential(1.0, size=n)
         logy = np.where(cen, eta + sigma * np.log(A_t / LOG2), self.logy)
         complete = np.ones(n)
-        buf = np.empty_like(eta)
-        lik = None
-        for j in range(self.p):
-            bj = beta[j]
-            logpdf, seen = self._beta_logdens(logy, complete, eta, j, bj, sigma, buf, lik)
-            new = slice_fn(logpdf, bj, f"beta[{j}]")
-            lik = seen.get(new)
-            if new != bj:
-                eta += (new - bj) * self._XT[j]
-                beta[j] = new
+        coordinate_sweep(beta, eta, self._XT, slice_fn, self._beta_coordinate,
+                         logy, complete, sigma)
         logpdf = self._sigma_logdens(logy, complete, eta)
         state["sigma"] = np.array([slice_fn(logpdf, sigma, "sigma")])

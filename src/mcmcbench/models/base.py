@@ -143,26 +143,50 @@ def ig_logpdf(x, a: float, b: float) -> float:
     return float(_ig_norm(a, b) - b / x - (a + 1.0) * math.log(x))
 
 
-def memo_logdens(lik, penalty, b0: float, lik0: float | None = None):
-    """The 1-D log density ``lik(b) - penalty(b)``, computing ``lik`` once per b.
+def coordinate_logdens(eta, xj, bj, term, penalty, buf, sum_bj=None):
+    """Log density of beta[j] given the rest, computing its O(n) sum once per b.
 
-    ``lik`` is the nonlinear, O(n) sum of the log-likelihood; ``penalty``
-    holds the prior and the part of the likelihood that is linear in b,
-    written as a multiple of (b - b0) so that it is exactly 0 at b0.  The
-    sum at the value a coordinate's slice step accepts is then the next
-    coordinate's sum at its start.  Returns the density and its memo, a
-    dict from b to ``lik(b)`` seeded with ``{b0: lik0}`` when the caller
-    already knows ``lik0``.
+    ``eta`` is the linear predictor at beta[j] = bj.  At b it shifts to
+    e = eta + (b - bj) * xj in the scratch array ``buf``; the density is
+    minus the sum of ``term(e)``, the log-likelihood terms nonlinear in b
+    (computed in place in e), minus ``penalty(b)``, the prior plus the
+    log-likelihood part linear in b written as a multiple of (b - bj).  The
+    memo holds the nonlinear sum alone, so ``penalty`` need not vanish
+    anywhere.  Returns the density and its memo, a dict from b to that sum
+    seeded with ``{bj: sum_bj}`` when the caller already knows it.
     """
-    seen = {} if lik0 is None else {b0: lik0}
+    seen = {} if sum_bj is None else {bj: sum_bj}
 
     def logpdf(b):
         v = seen.get(b)
         if v is None:
-            v = seen[b] = lik(b)
+            # outputs passed positionally: keywords cost more
+            np.add(eta, np.multiply(xj, b - bj, buf), buf)
+            v = seen[b] = -float(np.add.reduce(term(buf)))
         return v - penalty(b)
 
     return logpdf, seen
+
+
+def coordinate_sweep(beta, eta, XT, slice_fn, conditional, *args) -> None:
+    """One slice step on each beta[j] in turn, updating ``beta`` and ``eta = X @ beta`` in place.
+
+    ``XT`` holds X's columns contiguously and ``conditional(j, bj, *args)``
+    gives coordinate j's ``(term, penalty)`` (see ``coordinate_logdens``).
+    The sum at the value a step accepts is handed on as the next
+    coordinate's sum at its start.  That is exact: eta moves by the same
+    (new - bj) * x_j that the shifted predictor added.
+    """
+    buf = np.empty_like(eta)
+    lik = None
+    for j in range(beta.size):
+        bj, xj = beta[j], XT[j]
+        logpdf, seen = coordinate_logdens(eta, xj, bj, *conditional(j, bj, *args), buf, lik)
+        new = slice_fn(logpdf, bj, f"beta[{j}]")
+        lik = seen.get(new)
+        if new != bj:
+            eta += (new - bj) * xj
+            beta[j] = new
 
 
 def gaussian_prior(beta: np.ndarray, var: float) -> float:

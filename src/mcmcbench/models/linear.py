@@ -65,8 +65,7 @@ class LinearModel(Model):
             from scipy.linalg import cho_factor, cho_solve
 
             # V = (X'X + I)^-1 via its Cholesky; reused by Gibbs
-            self._cho_A = cho_factor(self.XtX + np.eye(p), lower=True)
-            self._V = cho_solve(self._cho_A, np.eye(p))
+            self._V = cho_solve(cho_factor(self.XtX + np.eye(p), lower=True), np.eye(p))
             self._Lv = np.linalg.cholesky(self._V)
             self._beta_hat = self._V @ self.Xty
         if prior_id == "LM-L":
@@ -123,7 +122,7 @@ class LinearModel(Model):
 
         return logpdf
 
-    def _lasso_beta_logdens(self, r, j, bj, s2, root):
+    def _lasso_coordinate_logdens(self, r, j, bj, s2, root):
         """LM-L log full conditional of beta[j], up to a constant.
 
         ``r`` is the residual vector at beta[j] = bj; the quadratic is
@@ -247,7 +246,7 @@ class LinearModel(Model):
         r = self.y - self.X @ beta
         for j in range(self.p):
             bj = beta[j]
-            logpdf = self._lasso_beta_logdens(r, j, bj, s2, root)
+            logpdf = self._lasso_coordinate_logdens(r, j, bj, s2, root)
             new = slice_fn(logpdf, bj, f"beta[{j}]")
             if new != bj:
                 r -= (new - bj) * self.X[:, j]

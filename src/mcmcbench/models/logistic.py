@@ -12,12 +12,17 @@ import numpy as np
 
 from ..datagen import Dataset
 from ..params import Block, Identity, Log, ParamSpace
-from .base import LassoPrior, Model, gaussian_prior, memo_logdens, merge_hyper
+from .base import LassoPrior, Model, coordinate_sweep, gaussian_prior, merge_hyper
 
 HYPER_DEFAULTS = {
     "LR-N": {"b02": 10.0},
     "LR-L": {"lambda0": 0.1},
 }
+
+
+def _softplus(e):
+    """log(1 + exp(e)), in place in e."""
+    return np.logaddexp(0.0, e, e)
 
 
 class LogisticModel(Model):
@@ -77,48 +82,27 @@ class LogisticModel(Model):
             out["lambda2"] = np.array([1.0])
         return out
 
-    def _beta_logdens(self, eta, j, bj, root, buf, lik_bj=None):
-        """Log full conditional of beta[j], up to a constant, and its memo.
+    def _beta_coordinate(self, j, bj, root):
+        """beta[j]'s ``(term, penalty)`` for ``coordinate_logdens``.
 
-        ``eta`` is the linear predictor at beta[j] = bj; ``root`` is
-        sqrt(lambda2) under LR-L and unused under LR-N; ``buf`` is scratch
-        space of eta's shape.  The log-likelihood is y @ eta plus
-        (b - bj) * (y @ x_j), which is linear in b and goes with the prior,
-        minus the softplus sum, the only O(n) part and the one the memo
-        holds; ``lik_bj`` is that sum at bj if the caller knows it (see
-        ``memo_logdens``).
+        ``root`` is sqrt(lambda2) under LR-L and unused under LR-N.  The
+        log-likelihood is y @ e minus the softplus terms; y @ e moves by
+        (b - bj) * (y @ x_j), which goes with the prior.
         """
-        xj, yxj = self._XT[j], self._yx[j]
-
-        def lik(b):
-            # -sum(log(1 + exp(e))) at e = eta + (b - bj) * xj, in place in buf
-            # (outputs passed positionally: keywords cost more)
-            np.add(eta, np.multiply(xj, b - bj, buf), buf)
-            return -float(np.add.reduce(np.logaddexp(0.0, buf, buf)))
-
+        yxj = self._yx[j]
         if self.prior_id == "LR-N":
             b02 = self.hyper["b02"]
-            return memo_logdens(lik, lambda b: b * b / (2.0 * b02) - (b - bj) * yxj, bj, lik_bj)
-        return memo_logdens(lik, lambda b: abs(b) * root - (b - bj) * yxj, bj, lik_bj)
+            return _softplus, lambda b: b * b / (2.0 * b02) - (b - bj) * yxj
+        return _softplus, lambda b: abs(b) * root - (b - bj) * yxj
 
     def gibbs_scan(self, state, rng, slice_fn):
         beta = state["beta"]
-        eta = self.X @ beta
         if self.prior_id == "LR-L":
             lam2 = float(state["lambda2"][0])
             root = math.sqrt(lam2)
         else:
             root = None
-        buf = np.empty_like(eta)
-        lik = None
-        for j in range(self.p):
-            bj = beta[j]
-            logpdf, seen = self._beta_logdens(eta, j, bj, root, buf, lik)
-            new = slice_fn(logpdf, bj, f"beta[{j}]")
-            lik = seen.get(new)
-            if new != bj:
-                eta += (new - bj) * self._XT[j]
-                beta[j] = new
+        coordinate_sweep(beta, self.X @ beta, self._XT, slice_fn, self._beta_coordinate, root)
         if self.prior_id == "LR-L":
             logpdf = self.lasso.lambda2_logpdf(beta)
             state["lambda2"] = np.array([slice_fn(logpdf, lam2, "lambda2")])

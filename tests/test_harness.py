@@ -50,6 +50,9 @@ def test_config_validation():
         ExperimentConfig(prior="LM-C", n_iter=500)
     with pytest.raises(ValueError):
         ExperimentConfig(prior="LM-C", n_iter=300, n_burn=100, n_thin=3)
+    with pytest.raises(ValueError, match="keeps 3 draws"):
+        ExperimentConfig(prior="LM-C", n_iter=6, n_burn=0, n_thin=2)  # too short for ESS
+    ExperimentConfig(prior="LM-C", n_iter=8, n_burn=0, n_thin=2)
 
 
 BAD_DESIGNS = {
@@ -339,6 +342,8 @@ def test_cli_bad_design_samples_nothing(monkeypatch, capsys):
     for flags, message in [
         (["--prior", "LM-C", "--n", "0"], "n must be >= 1"),
         (["--prior", "LR-N", "--covariates", "binary"], "does not draw covariates"),
+        (["--prior", "LM-C", "--n", "20", "--p", "2", "--niter", "6", "--nburn", "0",
+          "--nthin", "2"], "keeps 3 draws"),
     ]:
         assert cli_main(["run", *flags, "--backends", "gibbs"]) == 1
         captured = capsys.readouterr()

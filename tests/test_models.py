@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 from mcmcbench import datagen
 from mcmcbench.harness import ExperimentConfig
 from mcmcbench.models import PRIORS, get_model
-from mcmcbench.models.base import UnsupportedOperationError
+from mcmcbench.models.base import UnsupportedOperationError, coordinate_logdens
 from mcmcbench.models.linear import HYPER_DEFAULTS
 
 
@@ -335,7 +335,8 @@ def test_lrn_beta_conditional_generic():
     model = build("LR-N", seed=13)
     beta = np.zeros(3)
     eta = model.X @ beta
-    logpdf = model._beta_logdens(eta, 0, beta[0], None, np.empty_like(eta))[0]
+    term, penalty = model._beta_coordinate(0, beta[0], None)
+    logpdf = coordinate_logdens(eta, model._XT[0], beta[0], term, penalty, np.empty_like(eta))[0]
     assert math.isfinite(logpdf(0.2))
 
 
@@ -530,12 +531,12 @@ def _beta_conditional(model, params, j):
     """The density of beta[j] the scan slices on, given the observed data."""
     beta = params["beta"]
     eta = model.X @ beta
-    buf = np.empty_like(eta)
     if model.family == "AFT":
-        sigma = float(params["sigma"][0])
-        return model._beta_logdens(model.logy, model.delta, eta, j, beta[j], sigma, buf)[0]
-    root = math.sqrt(float(params["lambda2"][0])) if model.prior_id == "LR-L" else None
-    return model._beta_logdens(eta, j, beta[j], root, buf)[0]
+        args = (model.logy, model.delta, float(params["sigma"][0]))
+    else:
+        args = (math.sqrt(float(params["lambda2"][0])) if model.prior_id == "LR-L" else None,)
+    term, penalty = model._beta_coordinate(j, beta[j], *args)
+    return coordinate_logdens(eta, model._XT[j], beta[j], term, penalty, np.empty_like(eta))[0]
 
 
 def _sigma_conditional(model, beta):
@@ -600,13 +601,13 @@ def test_scan_slices_on_conditional_at_current_state(prior):
 
     if model.family == "AFT":
         # the completed data the scan's beta updates see
-        beta_logdens = model._beta_logdens
+        beta_coordinate = model._beta_coordinate
 
-        def spy(logy, delta, *args):
+        def spy(j, bj, logy, delta, sigma):
             captured["data"] = (logy, delta)
-            return beta_logdens(logy, delta, *args)
+            return beta_coordinate(j, bj, logy, delta, sigma)
 
-        model._beta_logdens = spy
+        model._beta_coordinate = spy
     before = state["beta"].copy()
     model.gibbs_scan(state, r, slice_fn)
     beta = state["beta"]
@@ -627,7 +628,7 @@ def test_scan_slices_on_conditional_at_current_state(prior):
 def test_slice_memo_handoff_is_exact(monkeypatch, prior):
     # the sum a coordinate hands to the next must equal the one the next
     # would compute itself, or the draws would depend on the handoff
-    from mcmcbench.models import aft, base, logistic
+    from mcmcbench.models import base
     from mcmcbench.samplers.slice_sampling import slice_step
 
     def scans():
@@ -644,18 +645,69 @@ def test_slice_memo_handoff_is_exact(monkeypatch, prior):
         return np.array(out)
 
     seeded = scans()
-    handed = []  # (sum handed over, sum recomputed at the same point)
+    handed = []  # (sum handed over, its point, memo of the density built without it)
 
-    def unseeded(lik, penalty, b0, lik0=None):
-        if lik0 is not None:
-            handed.append((lik0, lik(b0)))
-        return base.memo_logdens(lik, penalty, b0)
+    def unseeded(eta, xj, bj, term, penalty, buf, sum_bj=None):
+        logpdf, seen = coordinate_logdens(eta, xj, bj, term, penalty, buf)
+        if sum_bj is not None:
+            handed.append((sum_bj, bj, seen))
+        return logpdf, seen
 
-    for module in (logistic, aft):
-        monkeypatch.setattr(module, "memo_logdens", unseeded)
+    monkeypatch.setattr(base, "coordinate_logdens", unseeded)
     assert np.array_equal(seeded, scans())
-    # slice steps see the density only through comparisons, so check the sums too
-    assert len(handed) > 30 and all(a == b for a, b in handed)
+    # slice steps see the density only through comparisons, so check the sums
+    # too: each slice step evaluates its start, so the memo holds the recomputed sum
+    assert len(handed) > 30 and all(seen[bj] == s for s, bj, seen in handed)
+
+
+def test_coordinate_sweep_hands_on_and_updates_eta():
+    # a fake conditional and a deterministic slice step that moves coordinates
+    # 1 and 2 and leaves 0 and 3: the unchanged ones must hand their start sum
+    # on too, and eta must follow beta by the same increments
+    from mcmcbench.models.base import coordinate_sweep
+
+    r = rng(61)
+    X = r.normal(size=(7, 4))
+    beta = r.normal(size=4)
+    start = beta.copy()
+    eta = X @ beta
+    XT = np.ascontiguousarray(X.T)
+    term_calls = [0]
+    built, first_calls = [], []
+
+    def term(e):
+        term_calls[0] += 1
+        return np.multiply(e, e, e)
+
+    def conditional(j, bj, scale):
+        built.append((j, bj, beta[j], eta.copy()))
+        return term, lambda b: scale * b * b
+
+    def slice_fn(logpdf, x0, block):
+        j = int(block[5:-1])
+        before = term_calls[0]
+        first = logpdf(x0)
+        first_calls.append(term_calls[0] - before)
+        assert first == -float((eta * eta).sum()) - 0.3 * x0 * x0, block
+        if j in (1, 2):
+            logpdf(x0 + 0.5)
+            return x0 + 0.5
+        return x0
+
+    coordinate_sweep(beta, eta, XT, slice_fn, conditional, 0.3)
+    want_eta = X @ start
+    for j in (1, 2):
+        want_eta += 0.5 * XT[j]
+    moved = start + [0.0, 0.5, 0.5, 0.0]
+    # coordinate j's density is built at its current value, with 0 ... j-1 updated
+    assert [(j, bj, cur) for j, bj, cur, _ in built] == [(j, b, b) for j, b in enumerate(start)]
+    for j, _, _, eta_j in built:
+        np.testing.assert_allclose(eta_j, X @ np.r_[moved[:j], start[j:]], rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(beta, moved)
+    np.testing.assert_array_equal(eta, want_eta)
+    # only coordinate 0 computes its start sum; 1 takes it from 0 (unchanged),
+    # 2 from 1's accepted move and 3 from 2's
+    assert first_calls == [1, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
