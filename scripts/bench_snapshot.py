@@ -12,6 +12,16 @@ by hand.  Beside each run, as ``trace<T>_probe_s``, it stores the
 seconds taken by perfbench's ``speed_probe`` loop just before and just after
 the run, a reference for the host's speed at the time.
 
+The ``kernels`` block times the model layer in a fresh interpreter with one
+BLAS thread: for each model size in ``KERNEL_CASES``, the µs per call of
+``logp_and_grad``, ``space.transform``, ``log_prior`` and
+``log_likelihood_pointwise`` at the model's initial u, each the minimum of
+7 repeats of 3000 calls.  Its ``mm_grad_rss_mb`` is the peak resident memory
+(``ru_maxrss``) of another fresh interpreter that builds the marginal
+mixture at n=1000, H=4 and takes one gradient.  ``kernels(src)`` measures
+the package under any ``src`` directory, such as a checkout of the parent
+commit.
+
 Compare a snapshot only with one taken on the same machine.  Evaluation
 counts (``--trace 1``) are exact; timings are recorded as measured, one run
 each, and a gain is claimed only from alternating parent/change pairs of
@@ -57,6 +67,59 @@ def import_seconds() -> float:
     return statistics.median(times)
 
 
+# (label, prior, design): the model sizes the kernels block times
+KERNEL_CASES = (
+    ("LM-C n=100 p=4", "LM-C", {"n": 100, "p": 4}),
+    ("LR-N n=100 p=16", "LR-N", {"n": 100, "p": 16}),
+    ("AFT-NH n=100 p=4", "AFT-NH", {"n": 100, "p": 4}),
+    ("MM n=100 H=2", "MM", {"n": 100, "H": 2}),
+    ("MM n=1000 H=4", "MM", {"n": 1000, "H": 4}),
+)
+
+KERNEL_TIMES = """
+import json, sys, timeit
+from mcmcbench.harness import ExperimentConfig, make_dataset
+from mcmcbench.models import get_model
+out = {}
+for label, prior, design in json.loads(sys.argv[1]):
+    model = get_model(prior, make_dataset(ExperimentConfig(prior=prior, **design)), H=design.get("H"))
+    u = model.initial_u()
+    params = model.space.constrain(u)
+    calls = {
+        "logp_and_grad": lambda: model.logp_and_grad(u),
+        "transform": lambda: model.space.transform(u),
+        "log_prior": lambda: model.log_prior(params),
+        "log_likelihood_pointwise": lambda: model.log_likelihood_pointwise(params),
+    }
+    out[label] = {name: min(timeit.repeat(f, number=3000, repeat=7)) / 3000 * 1e6
+                  for name, f in calls.items()}
+print(json.dumps(out))
+"""
+
+MM_GRAD_RSS = """
+import resource
+from mcmcbench.datagen import gen_mixture
+from mcmcbench.models import get_model
+model = get_model("MM", gen_mixture(1000, 4), H=4)
+model.logp_and_grad(model.initial_u())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def kernels(src: Path = ROOT / "src") -> dict:
+    """µs per call of the model kernels and the MM gradient's peak RSS, for the package in ``src``."""
+    env = {**child_env(), "PYTHONPATH": str(src)}
+
+    def child(*argv: str) -> str:
+        return subprocess.run([sys.executable, "-c", *argv], env=env, stdout=subprocess.PIPE,
+                              text=True, check=True).stdout
+
+    return {
+        "us_per_call": json.loads(child(KERNEL_TIMES, json.dumps(KERNEL_CASES))),
+        "mm_grad_rss_mb": float(child(MM_GRAD_RSS)),
+    }
+
+
 def perfbench(workload: str, trace: int) -> dict:
     """The JSON object of the last line of one ``perfbench/run.py`` run."""
     proc = subprocess.run(
@@ -74,6 +137,8 @@ def main():
     args = ap.parse_args()
 
     import_s = import_seconds()
+    print("kernels", file=sys.stderr, flush=True)
+    kernel_block = kernels()
     runs = {}
     for name in WORKLOADS:
         runs[name] = {}
@@ -89,6 +154,7 @@ def main():
         "tier1_s": args.tier1_s,
         "machine": {**machine(), "numpy": np.__version__, "scipy": scipy.__version__,
                     "import_s": import_s},
+        "kernels": kernel_block,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

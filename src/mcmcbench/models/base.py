@@ -118,11 +118,19 @@ def gaussian_loglik(y: np.ndarray, mean, sigma2: float) -> np.ndarray:
     return -0.5 * (np.log(2.0 * np.pi * sigma2) + (y - mean) ** 2 / sigma2)
 
 
+# Integer shapes a whose log((a-1)!) equals scipy.special.gammaln(a) bit for bit
+# (checked with scipy 1.17.1; a = 14 to 17 differ in the last bit)
+EXACT_LGAMMA_SHAPES = range(1, 14)
+
+
 @lru_cache(maxsize=None)
 def _ig_norm(a: float, b: float) -> float:
     """Normalizing term a log b - log Gamma(a) of InverseGamma(a, b)."""
-    # scipy stays off the import path; math.lgamma differs from gammaln in the
-    # last bit for most a, which would move the draws
+    # math.lgamma differs from gammaln in the last bit for most a, which would
+    # move the draws; scipy is imported here, off the import path, and only for
+    # a shape the exact integer cannot give
+    if a in EXACT_LGAMMA_SHAPES:
+        return a * math.log(b) - math.log(math.factorial(int(a) - 1))
     from scipy.special import gammaln
 
     return a * math.log(b) - gammaln(a)

@@ -56,8 +56,9 @@ class Log(Transform):
     """x = exp(u), x > 0.  log|J| = u."""
 
     def forward(self, u):
-        with np.errstate(over="ignore"):
-            x = np.exp(u)
+        # exp overflows only past u = 709; a caller that steps that far, as a
+        # divergent NUTS trajectory can, sets np.errstate once for its loop
+        x = np.exp(u)
         return x, float(u.sum()), lambda grad_x: grad_x * x + 1.0
 
     def unconstrain(self, x):
@@ -165,8 +166,9 @@ class ParamSpace:
 
         ``params`` maps each block name to its constrained value and the
         log-Jacobian is the block sum.  ``pullback(grads)`` takes per-block
-        gradients of log f on the constrained scale and returns the gradient
-        of log f(x(u)) + log|J(u)| in u.
+        gradients of log f on the constrained scale, each a float array shaped
+        like its block's value or, for a block of one, a float, and returns the
+        gradient of log f(x(u)) + log|J(u)| in u.
         """
         params, pullbacks = {}, []
         log_jac = 0
@@ -178,7 +180,7 @@ class ParamSpace:
         def pullback(grads: dict) -> np.ndarray:
             g = np.empty(self.dim)
             for (name, _, sl), pb in zip(self._parts, pullbacks):
-                g[sl] = pb(np.atleast_1d(np.asarray(grads[name], dtype=float)))
+                g[sl] = pb(grads[name])
             return g
 
         return params, log_jac, pullback

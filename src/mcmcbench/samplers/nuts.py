@@ -56,11 +56,8 @@ def _point(q, p, g, logp):
 
 def _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth, eps, rng):
     if depth == 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            q1, p1, logp1, g1 = leapfrog(
-                model.logp_and_grad, q, p, grad_q, direction * eps
-            )
-            joint = logp1 - 0.5 * float(p1 @ p1)
+        q1, p1, logp1, g1 = leapfrog(model.logp_and_grad, q, p, grad_q, direction * eps)
+        joint = logp1 - 0.5 * float(p1 @ p1)
         if not math.isfinite(joint):
             joint = -math.inf
         t = _point(q1, p1, g1, logp1)
@@ -126,8 +123,10 @@ def _find_reasonable_epsilon(model, q, logp, grad, rng):
     joint0 = logp - 0.5 * float(p @ p)
 
     def joint_after(eps):
-        _, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
-        joint = logp1 - 0.5 * float(p1 @ p1)
+        # a step far too long overflows, and its joint then counts as -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, p1, logp1, _ = leapfrog(model.logp_and_grad, q, p, grad, eps)
+            joint = logp1 - 0.5 * float(p1 @ p1)
         return joint if math.isfinite(joint) else -math.inf
 
     eps = 1.0
@@ -175,10 +174,14 @@ def start(model, cfg, rng):
         tree.n_valid, tree.keep_going, tree.divergent = 1, True, False
         tree.alpha_sum, tree.n_alpha = 0.0, 0
         depth = 0
-        while tree.keep_going and depth < MAX_TREE_DEPTH:
-            direction = 1 if rng.random() < 0.5 else -1
-            _extend(model, tree, log_u, joint0, direction, depth, eps, rng, top=True)
-            depth += 1
+        # a divergent trajectory overflows and leaves non-finite values in
+        # the leapfrog and the U-turn checks; both end the tree, so the
+        # warnings say nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            while tree.keep_going and depth < MAX_TREE_DEPTH:
+                direction = 1 if rng.random() < 0.5 else -1
+                _extend(model, tree, log_u, joint0, direction, depth, eps, rng, top=True)
+                depth += 1
         q, logp, grad = tree.q_prop, tree.logp_prop, tree.g_prop
         # As in Stan, the statistics count the iterations after warm-up only:
         # divergences and capped trees are expected while the step size adapts.

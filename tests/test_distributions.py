@@ -75,6 +75,35 @@ def test_dirichlet_norm_matches_gammaln():
         assert model._log_dirichlet_norm == special.gammaln(H)
 
 
+# every shape whose log((a-1)!) is scipy's gammaln(a) bit for bit, one by one
+EXACT_LGAMMA_SHAPES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]
+
+
+def test_ig_norm_exact_shapes_match_gammaln():
+    assert list(base.EXACT_LGAMMA_SHAPES) == EXACT_LGAMMA_SHAPES
+    for a in EXACT_LGAMMA_SHAPES:
+        for b in (5e-5, 1.0, 1.5, 40.0):
+            want = a * math.log(b) - special.gammaln(a)
+            assert base._ig_norm(float(a), b) == want, (a, b)
+            assert base._ig_norm(a, b) == want, (a, b)
+
+
+def test_ig_norm_other_shapes_call_gammaln(monkeypatch):
+    gammaln, calls = special.gammaln, []
+    monkeypatch.setattr(special, "gammaln", lambda a: calls.append(a) or gammaln(a))
+    ig_norm = base._ig_norm.__wrapped__  # past the cache
+    # LM-C's sigma2 prior has shape eta0/2
+    lmc = get_model("LM-C", datagen.gen_linear(5, 1))
+    a, b = lmc._sigma2_prior()
+    assert a == lmc.hyper["eta0"] / 2.0
+    for shape in (a, 0.5, 14.0, 21.5):
+        assert ig_norm(shape, b) == shape * math.log(b) - gammaln(shape)
+    assert calls == [a, 0.5, 14.0, 21.5]
+    ig_norm(1.0, b)
+    ig_norm(13.0, b)
+    assert len(calls) == 4
+
+
 def test_weibull_hand_value():
     # f(1 | alpha=2, lam=1) = 2 * 1 * 1 * exp(-1)
     assert aft_loglik(1.0, 0.5, 1.0) == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)

@@ -94,6 +94,12 @@ from mcmcbench.models import get_model
 for parameterization in ("marginal", "latent"):
     get_model("MM", gen_mixture(50, 2), H=2, parameterization=parameterization)
 """,
+    # gibbs and rwmh on the latent model, nuts on the marginal one: the
+    # inverse-gamma priors' shapes of 1 take the exact log Gamma
+    "MM-run": """
+from mcmcbench.harness import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig(prior="MM", n=50, H=2, n_iter=300, n_burn=100))
+""",
 }
 
 

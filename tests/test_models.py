@@ -124,6 +124,25 @@ def test_mixture_gradient_on_hard_parameters(H):
         assert np.abs(grad - ref).max() <= 1e-12 * scale, (H, k)
 
 
+@pytest.mark.parametrize("H", [2, 4])
+def test_mixture_gradient_work_arrays_carry_nothing_over(H):
+    # logp_and_grad reuses its (H, n) work arrays: a call after one at another
+    # u must give the same bits, and must not touch a gradient already returned
+    model = build("MM", seed=3, n=50, H=H)
+    r = rng(5)
+    u1, u2 = (model.initial_u() + r.standard_normal(model.dim) for _ in range(2))
+    v1, g1 = model.logp_and_grad(u1)
+    g1_before = g1.copy()
+    v2, _ = model.logp_and_grad(u2)
+    np.testing.assert_array_equal(g1, g1_before)
+    v3, g3 = model.logp_and_grad(u1)
+    assert v3 == v1
+    np.testing.assert_array_equal(g3, g1_before)
+    np.testing.assert_array_equal(g1, g1_before)
+    assert v1 == model.log_posterior_u(u1)
+    assert v2 == model.log_posterior_u(u2)
+
+
 def test_gradient_vanishes_at_mode():
     model = build("LR-N", seed=3, n=60, p=3)
     res = minimize(
