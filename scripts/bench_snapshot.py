@@ -18,9 +18,13 @@ BLAS thread: for each model size in ``KERNEL_CASES``, the µs per call of
 ``log_likelihood_pointwise`` at the model's initial u, each the minimum of
 7 repeats of 3000 calls.  Its ``mm_grad_rss_mb`` is the peak resident memory
 (``ru_maxrss``) of another fresh interpreter that builds the marginal
-mixture at n=1000, H=4 and takes one gradient.  ``kernels(src)`` measures
-the package under any ``src`` directory, such as a checkout of the parent
-commit.
+mixture at n=1000, H=4 and takes one gradient.  Its ``fit_criteria`` times
+the diagnostics layer, in one more fresh interpreter, on a fixed random
+log-likelihood matrix of each (N_s, n) in ``FIT_SHAPES``: ``peak_mb`` is the
+``tracemalloc`` peak of one ``lpml`` then ``waic`` call above the matrix
+itself, and ``us_per_pair`` the µs per ``lpml`` + ``waic`` pair, the minimum
+of 5 repeats of 5 pairs.  ``kernels(src)`` measures the package under any
+``src`` directory, such as a checkout of the parent commit.
 
 Compare a snapshot only with one taken on the same machine.  Evaluation
 counts (``--trace 1``) are exact; timings are recorded as measured, one run
@@ -105,9 +109,31 @@ model.logp_and_grad(model.initial_u())
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
+# (N_s, n) of the log-likelihood matrices fit_criteria reduces: the mm-gibbs
+# and lr-rwmh workloads' sub-seed runs
+FIT_SHAPES = ((1400, 1000), (8000, 100))
+
+FIT_CRITERIA = """
+import json, sys, timeit, tracemalloc
+import numpy as np
+from mcmcbench.diagnostics import lpml, waic
+out = {}
+for ns, n in json.loads(sys.argv[1]):
+    ll = np.log(np.random.default_rng(0).random((ns, n)))
+    pair = lambda: (lpml(ll), waic(ll))
+    tracemalloc.start()
+    pair()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    out[f"{ns}x{n}"] = {"peak_mb": peak / 2**20,
+                        "us_per_pair": min(timeit.repeat(pair, number=5, repeat=5)) / 5 * 1e6}
+print(json.dumps(out))
+"""
+
 
 def kernels(src: Path = ROOT / "src") -> dict:
-    """µs per call of the model kernels and the MM gradient's peak RSS, for the package in ``src``."""
+    """µs per call of the model kernels, the MM gradient's peak RSS and the
+    fit criteria's memory and time, for the package in ``src``."""
     env = {**child_env(), "PYTHONPATH": str(src)}
 
     def child(*argv: str) -> str:
@@ -117,6 +143,7 @@ def kernels(src: Path = ROOT / "src") -> dict:
     return {
         "us_per_call": json.loads(child(KERNEL_TIMES, json.dumps(KERNEL_CASES))),
         "mm_grad_rss_mb": float(child(MM_GRAD_RSS)),
+        "fit_criteria": json.loads(child(FIT_CRITERIA, json.dumps(FIT_SHAPES))),
     }
 
 

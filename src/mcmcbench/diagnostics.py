@@ -2,6 +2,14 @@
 
 Everything here is a pure function over finished chains (or raw arrays),
 so it is safe to call concurrently from the harness.
+
+LPML and WAIC read an (N_s, n) pointwise log-likelihood matrix in column
+blocks of about ``FIT_BLOCK_BYTES`` (at least 128 columns, or the whole
+matrix if it is narrower), so their temporaries are one block in size
+however long the chain.  Every reduction runs over the draws (axis 0), which
+numpy adds row after row for any block two or more columns wide, and the
+per-observation vector is summed once over all n; the results are therefore
+bit-identical to reducing the whole matrix at once.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ import numpy as np
 
 ESS_DENOM_FLOOR = 1e-6
 ESS_MIN_DRAWS = 4  # shortest series ess() takes: its max lag n // 2 - 1 must be >= 1
+# Target size of one column block of a log-likelihood matrix in LPML/WAIC.
+FIT_BLOCK_BYTES = 1 << 20
 
 
 class DegenerateSeriesError(ValueError):
@@ -108,25 +118,47 @@ def ess_report(chain, prefix):
 # predictive fit criteria
 
 
+def _column_blocks(ll):
+    """Column slices that split ``ll`` into blocks of about ``FIT_BLOCK_BYTES``.
+
+    Blocks are at least 128 columns wide, as each reduction over the draws
+    costs one numpy inner loop per row, and never one column wide, where
+    numpy would sum over the draws pairwise rather than row after row; the
+    width is spread evenly.
+    """
+    ns, n = ll.shape
+    width = max(128, FIT_BLOCK_BYTES // (ll.itemsize * max(ns, 1)))
+    k = max(1, n // width)
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def lpml(loglik):
     """Log pseudo-marginal likelihood from an (N_s, n) pointwise log-lik matrix.
 
     CPO_i is the harmonic mean of the per-draw likelihoods over posterior
     draws; evaluated in log space (log-sum-exp of the negated log-liks).
+    The negation, shift and exp run in place in one block-sized array per
+    column block (see the module docstring), bit-identical to the whole
+    matrix at once.
     """
     ll = np.asarray(loglik, dtype=float)
     if ll.ndim != 2:
         raise ValueError("expected an (n_draws, n_obs) matrix")
-    neg = -ll
-    m = neg.max(axis=0)
-    if not np.isfinite(m).all():
-        warnings.warn(
-            "some observation has zero likelihood under every draw; "
-            "LPML is -inf",
-            stacklevel=2,
-        )
-        return float("-inf")
-    log_mean_inv = m + np.log(np.mean(np.exp(neg - m), axis=0))
+    log_mean_inv = np.empty(ll.shape[1])
+    for cols in _column_blocks(ll):
+        neg = np.negative(ll[:, cols])
+        m = neg.max(axis=0)
+        if not np.isfinite(m).all():
+            warnings.warn(
+                "some observation has zero likelihood under every draw; "
+                "LPML is -inf",
+                stacklevel=2,
+            )
+            return float("-inf")
+        neg -= m
+        log_mean_inv[cols] = m + np.log(np.mean(np.exp(neg, out=neg), axis=0))
+        del neg  # freed before the next block's is made
     return float(-np.sum(log_mean_inv))
 
 
@@ -135,17 +167,26 @@ def waic(loglik):
 
     First term: sum_i log mean_j f_ij (log-sum-exp).  Penalty: sum of the
     sample variances (ddof=1) of the pointwise log-likelihoods over draws.
+    Both are reduced per column block (see the module docstring): the shift
+    and exp run in place in one block-sized array, ``np.var`` takes one
+    block at a time, and each sum runs once over all n observations, so the
+    result is bit-identical to the whole matrix at once.
     """
     ll = np.asarray(loglik, dtype=float)
     if ll.ndim != 2:
         raise ValueError("expected an (n_draws, n_obs) matrix")
-    ns = ll.shape[0]
+    ns, n = ll.shape
     if ns < 2:
         raise ValueError("WAIC needs at least 2 draws for the variance term")
-    m = ll.max(axis=0)
-    lppd = np.sum(m + np.log(np.mean(np.exp(ll - m), axis=0)))
-    penalty = np.sum(np.var(ll, axis=0, ddof=1))
-    return float(lppd - penalty)
+    lppd, penalty = np.empty(n), np.empty(n)
+    for cols in _column_blocks(ll):
+        block = ll[:, cols]
+        m = block.max(axis=0)
+        shifted = np.subtract(block, m)
+        lppd[cols] = m + np.log(np.mean(np.exp(shifted, out=shifted), axis=0))
+        del shifted  # freed before np.var makes its own block-sized temporary
+        penalty[cols] = np.var(block, axis=0, ddof=1)
+    return float(np.sum(lppd) - np.sum(penalty))
 
 
 def _simpson(f, x):

@@ -216,12 +216,13 @@ def _diagnose(cfg: ExperimentConfig, dataset, model, report: RunReport) -> None:
     report.per_chain_ess = [diagnostics.ess_report(c, prefix) for c in report.chains]
     report.ess = report.per_chain_ess[0]
 
-    # Pointwise log-likelihoods are marginal under both mixture parameterizations,
-    # so latent-allocation chains are scored on the same likelihood.
-    loglik = np.vstack([model.log_likelihood_draws(c.samples) for c in report.chains])
     pooled = report.chains[0]
     if len(report.chains) > 1:
         pooled = replace(pooled, samples=np.vstack([c.samples for c in report.chains]))
+    # One matrix over the pooled draws: each row depends on its draw alone.
+    # Pointwise log-likelihoods are marginal under both mixture parameterizations,
+    # so latent-allocation chains are scored on the same likelihood.
+    loglik = model.log_likelihood_draws(pooled.samples)
 
     fit = diagnostics.FitReport()
     fit.lpml = diagnostics.lpml(loglik)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,40 @@ def test_waic_not_above_first_sum_and_lpml_below_it():
     first_sum = float(np.sum(m + np.log(np.mean(np.exp(ll - m), axis=0))))
     assert dg.waic(ll) <= first_sum + 1e-12
     assert dg.lpml(ll) <= first_sum + 1e-12  # harmonic mean <= arithmetic mean
+
+
+def test_lpml_waic_do_not_depend_on_column_blocks(monkeypatch):
+    ll = -3.0 * rng(16).random((300, 700))
+    results = []
+    for block_bytes, n_blocks in [(1, 5), (1 << 30, 1)]:  # 128-column blocks, then one
+        monkeypatch.setattr(dg, "FIT_BLOCK_BYTES", block_bytes)
+        assert len(dg._column_blocks(ll)) == n_blocks
+        results.append((dg.lpml(ll), dg.waic(ll)))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 30])
+def test_lpml_minus_inf_column_in_any_block(monkeypatch, block_bytes):
+    # the last column is in the last block however the columns are split
+    monkeypatch.setattr(dg, "FIT_BLOCK_BYTES", block_bytes)
+    ll = -3.0 * rng(17).random((300, 700))
+    ll[:, -1] = -math.inf
+    with pytest.warns(UserWarning, match="zero likelihood"):
+        assert dg.lpml(ll) == -math.inf
+
+
+def test_lpml_waic_transient_memory_is_bounded():
+    # a (2000, 2000) matrix is 32 MB; the fit criteria may add one column block
+    # of it at a time, not whole copies
+    ll = -3.0 * rng(18).random((2000, 2000))
+    tracemalloc.start()
+    try:
+        dg.lpml(ll)
+        dg.waic(ll)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mcmcbench
-from mcmcbench import harness
+from mcmcbench import diagnostics, harness
 from mcmcbench.cli import _merge_config, build_parser
 from mcmcbench.cli import main as cli_main
 from mcmcbench.harness import (
@@ -22,6 +22,7 @@ from mcmcbench.harness import (
     run_experiment,
 )
 from mcmcbench.models import get_model
+from mcmcbench.models.mixture import DRAW_BLOCK
 
 
 def quick_cfg(**kw):
@@ -275,6 +276,20 @@ def test_mixture_report_has_kl_and_no_error():
     row = run_experiment(cfg)["gibbs"].row()
     assert row["kl"] != ""
     assert row["error"] == ""
+
+
+def test_multi_chain_fit_matches_per_chain_loglik():
+    # 100 draws per chain, not a multiple of the mixture's 32-draw blocks, so
+    # one block of the pooled draws straddles a chain boundary
+    cfg = ExperimentConfig(prior="MM", n=40, H=2, seed=2, n_iter=300, n_burn=100,
+                           backends=("gibbs",), chains=3)
+    rep = run_experiment(cfg)["gibbs"]
+    assert rep.chains[0].n_samples % DRAW_BLOCK != 0
+    model = get_model(cfg.prior, make_dataset(cfg), H=cfg.H,
+                      parameterization=harness.MIXTURE_PARAMETERIZATION["gibbs"])
+    loglik = np.vstack([model.log_likelihood_draws(c.samples) for c in rep.chains])
+    assert rep.fit.lpml == diagnostics.lpml(loglik)
+    assert rep.fit.waic == diagnostics.waic(loglik)
 
 
 # ---------------------------------------------------------------------------
