@@ -11,6 +11,11 @@ report's ``lpml``, ``waic`` and ``kl`` printed with ``repr`` (``kl`` is
 and ``N_it_per_s``), which also covers ``error``, ``mean_E``,
 ``per_block_E`` and ``n_divergences``.
 
+After those 27 lines come NUTS-only lines for the cells in
+``DIVERGENT_NUTS``, small AFT datasets on which NUTS diverges after
+warm-up, so that the digests also cover a trajectory stopped by a
+divergence.  They use the same schedule and seed.
+
 Run it before and after a change on the same machine and diff the two
 outputs: equal lines mean bit-identical draws, sampler statistics, fit
 numbers and report rows, and a line that differs only in its fit numbers
@@ -31,27 +36,38 @@ from mcmcbench.harness import ExperimentConfig, run_experiment
 from mcmcbench.models import PRIORS
 
 TIMING_CELLS = ("t_s", "N_it_per_s")
+# (prior, design) cells where NUTS diverges at seed 0 and 2000/1000
+DIVERGENT_NUTS = (("AFT-NH", {"n": 5, "k": 0.5}), ("AFT-NI", {"n": 20, "k": 0.5}))
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def print_digests(cfg):
+    for backend, rep in sorted(run_experiment(cfg).items()):
+        chain = rep.chain
+        samples = sha256(np.ascontiguousarray(chain.samples, dtype=np.float64).tobytes())
+        stats = sha256(json.dumps(chain.stats, sort_keys=True).encode())
+        fit = rep.fit
+        row = {k: v for k, v in rep.row().items() if k not in TIMING_CELLS}
+        row_digest = sha256(json.dumps(row, sort_keys=True, default=float).encode())
+        print(
+            f"{cfg.prior:7s} {backend:5s} {samples} stats {stats}"
+            f" lpml {fit.lpml!r} waic {fit.waic!r} kl {fit.kl!r} row {row_digest}",
+            flush=True,
+        )
+
+
 def main():
     for prior in PRIORS:
-        reports = run_experiment(ExperimentConfig(prior=prior, n_iter=2000, n_burn=1000, seed=0))
-        for backend, rep in sorted(reports.items()):
-            chain = rep.chain
-            samples = sha256(np.ascontiguousarray(chain.samples, dtype=np.float64).tobytes())
-            stats = sha256(json.dumps(chain.stats, sort_keys=True).encode())
-            fit = rep.fit
-            row = {k: v for k, v in rep.row().items() if k not in TIMING_CELLS}
-            row_digest = sha256(json.dumps(row, sort_keys=True, default=float).encode())
-            print(
-                f"{prior:7s} {backend:5s} {samples} stats {stats}"
-                f" lpml {fit.lpml!r} waic {fit.waic!r} kl {fit.kl!r} row {row_digest}",
-                flush=True,
+        print_digests(ExperimentConfig(prior=prior, n_iter=2000, n_burn=1000, seed=0))
+    for prior, design in DIVERGENT_NUTS:
+        print_digests(
+            ExperimentConfig(
+                prior=prior, **design, backends=("nuts",), n_iter=2000, n_burn=1000, seed=0
             )
+        )
 
 
 if __name__ == "__main__":

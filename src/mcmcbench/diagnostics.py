@@ -133,6 +133,15 @@ def _column_blocks(ll):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+def _zero_likelihood(criterion):
+    """Warn that some observation has zero likelihood under every draw; -inf."""
+    warnings.warn(
+        f"some observation has zero likelihood under every draw; {criterion} is -inf",
+        stacklevel=3,
+    )
+    return float("-inf")
+
+
 def lpml(loglik):
     """Log pseudo-marginal likelihood from an (N_s, n) pointwise log-lik matrix.
 
@@ -150,12 +159,7 @@ def lpml(loglik):
         neg = np.negative(ll[:, cols])
         m = neg.max(axis=0)
         if not np.isfinite(m).all():
-            warnings.warn(
-                "some observation has zero likelihood under every draw; "
-                "LPML is -inf",
-                stacklevel=2,
-            )
-            return float("-inf")
+            return _zero_likelihood("LPML")
         neg -= m
         log_mean_inv[cols] = m + np.log(np.mean(np.exp(neg, out=neg), axis=0))
         del neg  # freed before the next block's is made
@@ -170,7 +174,9 @@ def waic(loglik):
     Both are reduced per column block (see the module docstring): the shift
     and exp run in place in one block-sized array, ``np.var`` takes one
     block at a time, and each sum runs once over all n observations, so the
-    result is bit-identical to the whole matrix at once.
+    result is bit-identical to the whole matrix at once.  An observation with
+    zero likelihood under every draw makes it -inf, with a warning, as in
+    ``lpml``.
     """
     ll = np.asarray(loglik, dtype=float)
     if ll.ndim != 2:
@@ -182,6 +188,8 @@ def waic(loglik):
     for cols in _column_blocks(ll):
         block = ll[:, cols]
         m = block.max(axis=0)
+        if np.isneginf(m).any():
+            return _zero_likelihood("WAIC")
         shifted = np.subtract(block, m)
         lppd[cols] = m + np.log(np.mean(np.exp(shifted, out=shifted), axis=0))
         del shifted  # freed before np.var makes its own block-sized temporary

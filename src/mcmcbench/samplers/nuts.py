@@ -1,10 +1,11 @@
 """No-U-Turn sampler with dual-averaging step-size adaptation.
 
-Recursive tree doubling with the slice-variable acceptance rule, a unit
-diagonal mass matrix and a hard cap on tree depth.  The step size is
-tuned toward a target acceptance statistic during burn-in and frozen
-afterwards.  Trajectories whose energy error exceeds ``DIVERGENCE_CAP``
-are flagged as divergent and the doubling stops.
+Tree doubling with the slice-variable acceptance rule, a unit diagonal
+mass matrix and a hard cap on tree depth; each subtree is built by one
+loop over its leaves, with the merges of Hoffman & Gelman's (2014)
+recursion.  The step size is tuned toward a target acceptance statistic
+during burn-in and frozen afterwards.  Trajectories whose energy error
+exceeds ``DIVERGENCE_CAP`` are flagged as divergent and the doubling stops.
 """
 
 from __future__ import annotations
@@ -33,83 +34,97 @@ def leapfrog(logp_and_grad, q, p, grad_q, eps):
     return q_new, p_new, logp_new, grad_new
 
 
-class _Tree:
-    """A trajectory segment: its two ends, its proposal and its tallies."""
+def _merge(n_old, n_new, going, top, q_first, p_first, q_last, p_last, direction, rng):
+    """Merge a new half of n'' = ``n_new`` valid points, built in ``direction``
+    and still ``going`` or not, into the half of n' = ``n_old`` before it.
 
-    __slots__ = (
-        "q_minus", "p_minus", "g_minus",
-        "q_plus", "p_plus", "g_plus",
-        "q_prop", "logp_prop", "g_prop",
-        "n_valid", "keep_going", "alpha_sum", "n_alpha", "divergent",
-    )
-
-
-def _point(q, p, g, logp):
-    """A segment of one point, which is both its ends and its proposal."""
-    t = _Tree()
-    t.q_minus = t.q_plus = t.q_prop = q
-    t.p_minus = t.p_plus = p
-    t.g_minus = t.g_plus = t.g_prop = g
-    t.logp_prop = logp
-    return t
-
-
-def _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth, eps, rng):
-    if depth == 0:
-        q1, p1, logp1, g1 = leapfrog(model.logp_and_grad, q, p, grad_q, direction * eps)
-        joint = logp1 - 0.5 * float(p1 @ p1)
-        if not math.isfinite(joint):
-            joint = -math.inf
-        t = _point(q1, p1, g1, logp1)
-        t.n_valid = 1 if log_u <= joint else 0
-        t.divergent = log_u - DIVERGENCE_CAP > joint
-        t.keep_going = not t.divergent
-        t.alpha_sum = min(1.0, math.exp(min(0.0, joint - joint0)))
-        t.n_alpha = 1
-        return t
-
-    t = _build_tree(model, q, p, grad_q, log_u, joint0, direction, depth - 1, eps, rng)
-    if t.keep_going:
-        _extend(model, t, log_u, joint0, direction, depth - 1, eps, rng, top=False)
-    return t
-
-
-def _extend(model, t, log_u, joint0, direction, depth, eps, rng, top):
-    """Grow ``t`` by a subtree of ``depth`` off its ``direction`` end.
-
-    Inside a subtree the new half's proposal replaces ``t``'s with
-    probability n''/(n' + n''). At the ``top`` of the trajectory it does so
-    with probability n''/n', which favours the new half, and never when the
-    new half stopped.  ``t`` then stops if the new half stopped or if its
+    Returns whether the new proposal replaces the old one and whether the
+    merged segment, from ``q_first`` to ``q_last``, still grows.  Inside a
+    subtree the new proposal wins with probability n''/(n' + n''); at the
+    ``top`` with n''/n', which favours the new half, and never when the new
+    half stopped.  The merged segment stops if the new half stopped or its
     ends make a U-turn.
     """
-    if direction == -1:
-        sub = _build_tree(
-            model, t.q_minus, t.p_minus, t.g_minus, log_u, joint0, direction, depth, eps, rng
-        )
-        t.q_minus, t.p_minus, t.g_minus = sub.q_minus, sub.p_minus, sub.g_minus
-    else:
-        sub = _build_tree(
-            model, t.q_plus, t.p_plus, t.g_plus, log_u, joint0, direction, depth, eps, rng
-        )
-        t.q_plus, t.p_plus, t.g_plus = sub.q_plus, sub.p_plus, sub.g_plus
-    n_old = t.n_valid
-    t.n_valid = n_old + sub.n_valid
-    if (
-        (sub.keep_going or not top)
-        and sub.n_valid > 0
-        and rng.random() < sub.n_valid / (n_old if top else t.n_valid)
-    ):
-        t.q_prop, t.logp_prop, t.g_prop = sub.q_prop, sub.logp_prop, sub.g_prop
-    t.alpha_sum += sub.alpha_sum
-    t.n_alpha += sub.n_alpha
-    t.divergent = t.divergent or sub.divergent
-    dq = t.q_plus - t.q_minus
-    t.keep_going = (
-        sub.keep_going
-        and float(dq @ t.p_minus) >= 0.0
-        and float(dq @ t.p_plus) >= 0.0
+    take = (
+        (going or not top)
+        and n_new > 0
+        and rng.random() < n_new / (n_old if top else n_old + n_new)
     )
+    if going:
+        dq = q_last - q_first if direction == 1 else q_first - q_last  # q_plus - q_minus
+        going = float(dq @ p_first) >= 0.0 and float(dq @ p_last) >= 0.0
+    return take, going
+
+
+def _transition(model, q, logp, grad, eps, rng):
+    """One NUTS iteration from ``q`` with step size ``eps``.
+
+    ``logp`` and ``grad`` are the log density and its gradient at ``q``.
+    Returns the next point with its log density and gradient, the
+    acceptance statistic, the tree depth, whether the trajectory diverged
+    and whether the depth cap stopped it while it still grew.
+    """
+    p0 = rng.standard_normal(q.size)
+    joint0 = logp - 0.5 * float(p0 @ p0)
+    log_u = joint0 + math.log(rng.random())
+    # the trajectory's two ends; (q, logp, grad) is its proposal
+    q_minus, p_minus, g_minus = q_plus, p_plus, g_plus = q, p0, grad
+    n_valid, going, divergent = 1, True, False
+    alpha_sum, n_leapfrog, depth = 0.0, 0, 0
+    # a divergent trajectory overflows and leaves non-finite values in the
+    # leapfrog and the U-turn checks; both end the tree, so the warnings say
+    # nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        while going and depth < MAX_TREE_DEPTH:
+            direction = 1 if rng.random() < 0.5 else -1
+            if direction == 1:
+                q_back, p_back, q1, p1, g1 = q_minus, p_minus, q_plus, p_plus, g_plus
+            else:
+                q_back, p_back, q1, p1, g1 = q_plus, p_plus, q_minus, p_minus, g_minus
+            # The subtree's 2**depth leaves run off that end.  After leaf i,
+            # halves merge once per trailing zero bit of i; ``halves`` holds
+            # each finished left half, with its first point, until then.  A
+            # subtree that stops merges into every half still waiting.
+            halves, n_leaves = [], 2**depth
+            for i in range(1, n_leaves + 1):
+                q1, p1, logp1, g1 = leapfrog(model.logp_and_grad, q1, p1, g1, direction * eps)
+                joint = logp1 - 0.5 * float(p1 @ p1)
+                if not math.isfinite(joint):
+                    joint = -math.inf
+                n_leapfrog += 1
+                divergent = log_u - DIVERGENCE_CAP > joint
+                going = not divergent
+                # the leaf as a subtree: first point, proposal and tallies
+                q_first, p_first, q_prop, logp_prop, g_prop = q1, p1, q1, logp1, g1
+                n_sub = 1 if log_u <= joint else 0
+                alpha_sub = min(1.0, math.exp(min(0.0, joint - joint0)))
+                merges = (i & -i).bit_length() - 1
+                while halves and (merges or not going):
+                    merges -= 1
+                    q_first, p_first, q_left, logp_left, g_left, n_left, alpha_left = halves.pop()
+                    take, going = _merge(
+                        n_left, n_sub, going, False, q_first, p_first, q1, p1, direction, rng
+                    )
+                    if not take:
+                        q_prop, logp_prop, g_prop = q_left, logp_left, g_left
+                    n_sub += n_left
+                    alpha_sub = alpha_left + alpha_sub
+                if not going or i == n_leaves:
+                    break
+                halves.append((q_first, p_first, q_prop, logp_prop, g_prop, n_sub, alpha_sub))
+            if direction == 1:
+                q_plus, p_plus, g_plus = q1, p1, g1
+            else:
+                q_minus, p_minus, g_minus = q1, p1, g1
+            take, going = _merge(
+                n_valid, n_sub, going, True, q_back, p_back, q1, p1, direction, rng
+            )
+            if take:
+                q, logp, grad = q_prop, logp_prop, g_prop
+            n_valid += n_sub
+            alpha_sum += alpha_sub
+            depth += 1
+    return q, logp, grad, alpha_sum / n_leapfrog, depth, divergent, going
 
 
 def _find_reasonable_epsilon(model, q, logp, grad, rng):
@@ -166,35 +181,19 @@ def start(model, cfg, rng):
     def step(it):
         nonlocal q, logp, grad, eps, log_eps_bar, h_bar
         nonlocal n_divergent, n_maxdepth, depth_total
-        p0 = rng.standard_normal(q.size)
-        joint0 = logp - 0.5 * float(p0 @ p0)
-        log_u = joint0 + math.log(rng.random())
-
-        tree = _point(q, p0, grad, logp)
-        tree.n_valid, tree.keep_going, tree.divergent = 1, True, False
-        tree.alpha_sum, tree.n_alpha = 0.0, 0
-        depth = 0
-        # a divergent trajectory overflows and leaves non-finite values in
-        # the leapfrog and the U-turn checks; both end the tree, so the
-        # warnings say nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            while tree.keep_going and depth < MAX_TREE_DEPTH:
-                direction = 1 if rng.random() < 0.5 else -1
-                _extend(model, tree, log_u, joint0, direction, depth, eps, rng, top=True)
-                depth += 1
-        q, logp, grad = tree.q_prop, tree.logp_prop, tree.g_prop
+        q, logp, grad, accept, depth, divergent, capped = _transition(
+            model, q, logp, grad, eps, rng
+        )
         # As in Stan, the statistics count the iterations after warm-up only:
         # divergences and capped trees are expected while the step size adapts.
         if it > cfg.n_burn:
-            n_divergent += int(tree.divergent)
-            n_maxdepth += int(tree.keep_going)  # the cap stopped a growing tree
+            n_divergent += int(divergent)
+            n_maxdepth += int(capped)
             depth_total += depth
 
         if it <= cfg.n_burn:
             frac = 1.0 / (it + t0)
-            h_bar = (1.0 - frac) * h_bar + frac * (
-                TARGET_ACCEPT - tree.alpha_sum / max(tree.n_alpha, 1)
-            )
+            h_bar = (1.0 - frac) * h_bar + frac * (TARGET_ACCEPT - accept)
             log_eps = mu - math.sqrt(it) / gamma * h_bar
             eta = it**-kappa
             log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar

@@ -210,8 +210,9 @@ def test_lpml_stable_at_extreme_values():
 
 def test_lpml_all_minus_inf_column():
     ll = np.array([[-math.inf, -1.0], [-math.inf, -2.0]])
-    with pytest.warns(UserWarning):
-        assert dg.lpml(ll) == -math.inf
+    for criterion in (dg.lpml, dg.waic):
+        with pytest.warns(UserWarning):
+            assert criterion(ll) == -math.inf
 
 
 def test_waic_identical_draws_no_penalty():
@@ -254,8 +255,9 @@ def test_lpml_minus_inf_column_in_any_block(monkeypatch, block_bytes):
     monkeypatch.setattr(dg, "FIT_BLOCK_BYTES", block_bytes)
     ll = -3.0 * rng(17).random((300, 700))
     ll[:, -1] = -math.inf
-    with pytest.warns(UserWarning, match="zero likelihood"):
-        assert dg.lpml(ll) == -math.inf
+    for criterion in (dg.lpml, dg.waic):
+        with pytest.warns(UserWarning, match="zero likelihood"):
+            assert criterion(ll) == -math.inf
 
 
 def test_lpml_waic_transient_memory_is_bounded():

@@ -387,3 +387,67 @@ def test_nuts_depth_stats_skip_warmup(monkeypatch):
     chain = run("nuts", target, cfg_for("nuts", n_iter=400, n_burn=200, seed=16))
     assert chain.stats["n_max_depth"] == 0
     assert chain.stats["mean_tree_depth"] == 3.0
+
+
+class FreeParticle:
+    """A flat target: trajectories run straight and never make a U-turn.
+
+    Once ``calls`` is set to 0, the ``k``-th gradient call after that returns
+    a log density of -inf, which makes that leaf diverge.
+    """
+
+    has_gradient = True
+
+    def __init__(self, k, dim=3):
+        self.k, self.dim, self.calls = k, dim, None
+
+    def initial_u(self):
+        return np.zeros(self.dim)
+
+    def logp_and_grad(self, u):
+        if self.calls is not None:
+            self.calls += 1
+            if self.calls == self.k:
+                return -math.inf, np.zeros(self.dim)
+        return 0.0, np.zeros(self.dim)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 11, 100])
+def test_nuts_divergence_stops_the_trajectory_at_its_leaf(k):
+    # Doublings of 1, 2, 4, ... leaves: the k-th leaf lies in the one that
+    # brings the depth to ceil(log2(k + 1)), and nothing after it is built.
+    target = FreeParticle(k)
+    cfg = SamplerConfig(backend="nuts", n_iter=1, n_burn=0, n_thin=1, seed=0)
+    step, _, stats = nuts.start(target, cfg, chain_rng(0))
+    target.calls = 0
+    step(1)
+    assert target.calls == k
+    assert stats()["n_divergent"] == 1
+    assert stats()["n_max_depth"] == 0
+    assert stats()["mean_tree_depth"] == math.ceil(math.log2(k + 1))
+
+
+# One-step invariance: from exact draws x0 of the target, one NUTS transition
+# with any fixed step size gives exact draws again.  The replicate count, the
+# seed and the p-value bound were fixed before the test first ran; a failure is
+# a finding about the kernel, not a reason to change them.
+INVARIANCE_REPLICATES = 20_000
+INVARIANCE_SEED = 2211
+INVARIANCE_P_MIN = 1e-3
+
+
+@pytest.mark.parametrize("eps", [0.9, 0.2])
+def test_nuts_one_step_invariance(eps):
+    # sds 1 and 3, correlation 0.9: the narrow axis (sd 0.42) makes eps = 0.9
+    # an unstable leapfrog step that diverges often; eps = 0.2 builds deep trees
+    sd = np.array([1.0, 3.0])
+    target = GaussianTarget([1.0, -2.0], [[1.0, 0.9 * 3.0], [0.9 * 3.0, 9.0]])
+    rng = chain_rng(INVARIANCE_SEED)
+    x0 = rng.multivariate_normal(target.mean, target.cov, size=INVARIANCE_REPLICATES)
+    x1 = np.empty_like(x0)
+    for r, q in enumerate(x0):
+        logp, grad = target.logp_and_grad(q)
+        x1[r] = nuts._transition(target, q, logp, grad, eps, rng)[0]
+    for j in range(2):
+        p = stats.kstest(x1[:, j], "norm", args=(target.mean[j], sd[j])).pvalue
+        assert p >= INVARIANCE_P_MIN, (j, p)
