@@ -14,7 +14,9 @@ and ``N_it_per_s``), which also covers ``error``, ``mean_E``,
 After those 27 lines come NUTS-only lines for the cells in
 ``DIVERGENT_NUTS``, small AFT datasets on which NUTS diverges after
 warm-up, so that the digests also cover a trajectory stopped by a
-divergence.  They use the same schedule and seed.
+divergence.  Then come Gibbs-only lines for the cells in ``WIDE_GIBBS``,
+LR-N and LR-L at n=100 and p=16, where the LR coordinate sweep runs 16
+coefficients per scan.  They use the same schedule and seed.
 
 Run it before and after a change on the same machine and diff the two
 outputs: equal lines mean bit-identical draws, sampler statistics, fit
@@ -38,6 +40,8 @@ from mcmcbench.models import PRIORS
 TIMING_CELLS = ("t_s", "N_it_per_s")
 # (prior, design) cells where NUTS diverges at seed 0 and 2000/1000
 DIVERGENT_NUTS = (("AFT-NH", {"n": 5, "k": 0.5}), ("AFT-NI", {"n": 20, "k": 0.5}))
+# (prior, design) cells of 16 coefficients, as in the lr-gibbs workload
+WIDE_GIBBS = (("LR-N", {"p": 16}), ("LR-L", {"p": 16}))
 
 
 def sha256(data: bytes) -> str:
@@ -62,12 +66,13 @@ def print_digests(cfg):
 def main():
     for prior in PRIORS:
         print_digests(ExperimentConfig(prior=prior, n_iter=2000, n_burn=1000, seed=0))
-    for prior, design in DIVERGENT_NUTS:
-        print_digests(
-            ExperimentConfig(
-                prior=prior, **design, backends=("nuts",), n_iter=2000, n_burn=1000, seed=0
+    for backend, cells in (("nuts", DIVERGENT_NUTS), ("gibbs", WIDE_GIBBS)):
+        for prior, design in cells:
+            print_digests(
+                ExperimentConfig(
+                    prior=prior, **design, backends=(backend,), n_iter=2000, n_burn=1000, seed=0
+                )
             )
-        )
 
 
 if __name__ == "__main__":

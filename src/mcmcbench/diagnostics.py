@@ -133,13 +133,19 @@ def _column_blocks(ll):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _zero_likelihood(criterion):
-    """Warn that some observation has zero likelihood under every draw; -inf."""
-    warnings.warn(
-        f"some observation has zero likelihood under every draw; {criterion} is -inf",
-        stacklevel=3,
-    )
-    return float("-inf")
+def _minus_inf(m, zero, criterion):
+    """Whether ``criterion`` is -inf, as ``zero`` says; it warns if so.
+
+    ``zero`` means some observation has zero likelihood under some draw.
+    NaN in ``m``, a column block's max (max propagates NaN), raises
+    ``ValueError``.
+    """
+    if np.isnan(m).any():
+        raise ValueError(f"the log-likelihood matrix holds NaN; {criterion} is undefined")
+    if zero:
+        msg = f"some observation has zero likelihood under some draw; {criterion} is -inf"
+        warnings.warn(msg, stacklevel=3)
+    return zero
 
 
 def lpml(loglik):
@@ -149,7 +155,8 @@ def lpml(loglik):
     draws; evaluated in log space (log-sum-exp of the negated log-liks).
     The negation, shift and exp run in place in one block-sized array per
     column block (see the module docstring), bit-identical to the whole
-    matrix at once.
+    matrix at once.  An observation with zero likelihood under some draw
+    makes it -inf, with a warning; a NaN entry raises ``ValueError``.
     """
     ll = np.asarray(loglik, dtype=float)
     if ll.ndim != 2:
@@ -158,8 +165,8 @@ def lpml(loglik):
     for cols in _column_blocks(ll):
         neg = np.negative(ll[:, cols])
         m = neg.max(axis=0)
-        if not np.isfinite(m).all():
-            return _zero_likelihood("LPML")
+        if _minus_inf(m, not np.isfinite(m).all(), "LPML"):
+            return float("-inf")
         neg -= m
         log_mean_inv[cols] = m + np.log(np.mean(np.exp(neg, out=neg), axis=0))
         del neg  # freed before the next block's is made
@@ -175,8 +182,8 @@ def waic(loglik):
     and exp run in place in one block-sized array, ``np.var`` takes one
     block at a time, and each sum runs once over all n observations, so the
     result is bit-identical to the whole matrix at once.  An observation with
-    zero likelihood under every draw makes it -inf, with a warning, as in
-    ``lpml``.
+    zero likelihood under some draw makes it -inf, with a warning, and a NaN
+    entry raises ``ValueError``, as in ``lpml``; the two share that screening.
     """
     ll = np.asarray(loglik, dtype=float)
     if ll.ndim != 2:
@@ -188,12 +195,14 @@ def waic(loglik):
     for cols in _column_blocks(ll):
         block = ll[:, cols]
         m = block.max(axis=0)
-        if np.isneginf(m).any():
-            return _zero_likelihood("WAIC")
+        with np.errstate(invalid="ignore"):  # a zero-likelihood draw: -inf - -inf
+            var = np.var(block, axis=0, ddof=1)
+        if _minus_inf(m, np.isnan(var).any(), "WAIC"):
+            return float("-inf")
+        penalty[cols] = var
         shifted = np.subtract(block, m)
         lppd[cols] = m + np.log(np.mean(np.exp(shifted, out=shifted), axis=0))
-        del shifted  # freed before np.var makes its own block-sized temporary
-        penalty[cols] = np.var(block, axis=0, ddof=1)
+        del shifted  # freed before the next block's is made
     return float(np.sum(lppd) - np.sum(penalty))
 
 

@@ -122,18 +122,19 @@ class AFTModel(Model):
     def initial_params(self):
         return {"beta": np.zeros(self.p), "sigma": np.array([1.0])}
 
-    def _beta_coordinate(self, j, bj, logy, delta, sigma):
-        """beta[j]'s ``(term, penalty)`` for ``coordinate_logdens``; the terms are the hazards.
+    def _beta_terms(self, logy, delta, sigma):
+        """The beta sweep's ``(term, prior, slopes)`` (see ``coordinate_sweep``).
 
-        ``logy`` and the event indicators ``delta`` are the observed data, or
-        the completed data of the Gibbs scan (every time observed).  The event
-        term -delta @ e / sigma is linear in b and goes with the prior.
+        The terms are the cumulative hazards.  ``logy`` and the event
+        indicators ``delta`` are the observed data, or the completed data of
+        the Gibbs scan (every time observed).  The event term -delta @ e / sigma
+        has slope -(delta @ x_j) / sigma in beta[j].
         """
         var = self._beta_var()
-        dx = float(delta @ self._XT[j]) / sigma
         return (
             lambda e: _cum_hazard(logy, e, sigma, e),
-            lambda b: b * b / (2.0 * var) + (b - bj) * dx,
+            lambda b: b * b / (2.0 * var),
+            [-float(delta @ xj) / sigma for xj in self._XT],
         )
 
     def _sigma_logdens(self, logy, delta, eta):
@@ -173,7 +174,6 @@ class AFTModel(Model):
         A_t = _cum_hazard(self.logy, eta, sigma) + rng.exponential(1.0, size=n)
         logy = np.where(cen, eta + sigma * np.log(A_t / LOG2), self.logy)
         complete = np.ones(n)
-        coordinate_sweep(beta, eta, self._XT, slice_fn, self._beta_coordinate,
-                         logy, complete, sigma)
+        coordinate_sweep(beta, eta, self._XT, slice_fn, *self._beta_terms(logy, complete, sigma))
         logpdf = self._sigma_logdens(logy, complete, eta)
         state["sigma"] = np.array([slice_fn(logpdf, sigma, "sigma")])

@@ -151,16 +151,15 @@ def ig_logpdf(x, a: float, b: float) -> float:
     return float(_ig_norm(a, b) - b / x - (a + 1.0) * math.log(x))
 
 
-def coordinate_logdens(eta, xj, bj, term, penalty, buf, sum_bj=None):
+def coordinate_logdens(eta, xj, bj, term, prior, slope, buf, sum_bj=None):
     """Log density of beta[j] given the rest, computing its O(n) sum once per b.
 
     ``eta`` is the linear predictor at beta[j] = bj.  At b it shifts to
     e = eta + (b - bj) * xj in the scratch array ``buf``; the density is
     minus the sum of ``term(e)``, the log-likelihood terms nonlinear in b
-    (computed in place in e), minus ``penalty(b)``, the prior plus the
-    log-likelihood part linear in b written as a multiple of (b - bj).  The
-    memo holds the nonlinear sum alone, so ``penalty`` need not vanish
-    anywhere.  Returns the density and its memo, a dict from b to that sum
+    (computed in place in e), minus ``prior(b)``, plus (b - bj) * ``slope``,
+    the log-likelihood part linear in b.  The memo holds the nonlinear sum
+    alone.  Returns the density and its memo, a dict from b to that sum
     seeded with ``{bj: sum_bj}`` when the caller already knows it.
     """
     seen = {} if sum_bj is None else {bj: sum_bj}
@@ -171,16 +170,16 @@ def coordinate_logdens(eta, xj, bj, term, penalty, buf, sum_bj=None):
             # outputs passed positionally: keywords cost more
             np.add(eta, np.multiply(xj, b - bj, buf), buf)
             v = seen[b] = -float(np.add.reduce(term(buf)))
-        return v - penalty(b)
+        return v - (prior(b) - (b - bj) * slope)
 
     return logpdf, seen
 
 
-def coordinate_sweep(beta, eta, XT, slice_fn, conditional, *args) -> None:
+def coordinate_sweep(beta, eta, XT, slice_fn, term, prior, slopes) -> None:
     """One slice step on each beta[j] in turn, updating ``beta`` and ``eta = X @ beta`` in place.
 
-    ``XT`` holds X's columns contiguously and ``conditional(j, bj, *args)``
-    gives coordinate j's ``(term, penalty)`` (see ``coordinate_logdens``).
+    ``XT`` holds X's columns contiguously; ``term``, ``prior`` and
+    ``slopes[j]`` make coordinate j's density (see ``coordinate_logdens``).
     The sum at the value a step accepts is handed on as the next
     coordinate's sum at its start.  That is exact: eta moves by the same
     (new - bj) * x_j that the shifted predictor added.
@@ -189,7 +188,7 @@ def coordinate_sweep(beta, eta, XT, slice_fn, conditional, *args) -> None:
     lik = None
     for j in range(beta.size):
         bj, xj = beta[j], XT[j]
-        logpdf, seen = coordinate_logdens(eta, xj, bj, *conditional(j, bj, *args), buf, lik)
+        logpdf, seen = coordinate_logdens(eta, xj, bj, term, prior, slopes[j], buf, lik)
         new = slice_fn(logpdf, bj, f"beta[{j}]")
         lik = seen.get(new)
         if new != bj:

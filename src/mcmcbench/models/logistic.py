@@ -82,27 +82,21 @@ class LogisticModel(Model):
             out["lambda2"] = np.array([1.0])
         return out
 
-    def _beta_coordinate(self, j, bj, root):
-        """beta[j]'s ``(term, penalty)`` for ``coordinate_logdens``.
+    def _beta_terms(self, state):
+        """The beta sweep's ``(term, prior, slopes)`` at ``state`` (see ``coordinate_sweep``).
 
-        ``root`` is sqrt(lambda2) under LR-L and unused under LR-N.  The
-        log-likelihood is y @ e minus the softplus terms; y @ e moves by
-        (b - bj) * (y @ x_j), which goes with the prior.
+        The log-likelihood is y @ e minus the softplus terms; y @ e has slope
+        y @ x_j in beta[j].
         """
-        yxj = self._yx[j]
         if self.prior_id == "LR-N":
             b02 = self.hyper["b02"]
-            return _softplus, lambda b: b * b / (2.0 * b02) - (b - bj) * yxj
-        return _softplus, lambda b: abs(b) * root - (b - bj) * yxj
+            return _softplus, lambda b: b * b / (2.0 * b02), self._yx
+        root = math.sqrt(float(state["lambda2"][0]))
+        return _softplus, lambda b: abs(b) * root, self._yx
 
     def gibbs_scan(self, state, rng, slice_fn):
         beta = state["beta"]
-        if self.prior_id == "LR-L":
-            lam2 = float(state["lambda2"][0])
-            root = math.sqrt(lam2)
-        else:
-            root = None
-        coordinate_sweep(beta, self.X @ beta, self._XT, slice_fn, self._beta_coordinate, root)
+        coordinate_sweep(beta, self.X @ beta, self._XT, slice_fn, *self._beta_terms(state))
         if self.prior_id == "LR-L":
             logpdf = self.lasso.lambda2_logpdf(beta)
-            state["lambda2"] = np.array([slice_fn(logpdf, lam2, "lambda2")])
+            state["lambda2"] = np.array([slice_fn(logpdf, float(state["lambda2"][0]), "lambda2")])

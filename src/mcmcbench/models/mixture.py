@@ -264,11 +264,11 @@ class MixtureModel(Model):
         state["p"] = g / g.sum()
 
 
-def predictive_density(chain, y, H: int | None = None):
+def predictive_density(chain, y, H: int):
     """Posterior predictive density averaged over retained draws.
 
     ``chain`` needs ``samples`` (N_s x dim) and constrained ``names``
-    containing mu[h], sigma2[h] and p[h] columns.
+    containing mu[h], sigma2[h] and p[h] columns for h < ``H``.
 
     Each draw x component Gaussian is written as one quadratic form in y,
 
@@ -282,12 +282,9 @@ def predictive_density(chain, y, H: int | None = None):
     5.5e-11 for s >= 1e-3 and |mu| <= 8, |y| <= 14, where 5.6e-12 was
     measured against the direct per-draw sum.
     """
-    names = list(chain.names)
     if chain.samples.shape[0] == 0:
         raise ValueError("empty chain")
-    if H is None:
-        H = sum(1 for nm in names if nm.startswith("mu["))
-    cols = {nm: k for k, nm in enumerate(names)}
+    cols = {nm: k for k, nm in enumerate(chain.names)}
     mu = chain.samples[:, [cols[f"mu[{h}]"] for h in range(H)]].ravel()
     s = chain.samples[:, [cols[f"sigma2[{h}]"] for h in range(H)]].ravel()
     w = chain.samples[:, [cols[f"p[{h}]"] for h in range(H)]].ravel()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,36 @@ def test_lpml_minus_inf_column_in_any_block(monkeypatch, block_bytes):
     for criterion in (dg.lpml, dg.waic):
         with pytest.warns(UserWarning, match="zero likelihood"):
             assert criterion(ll) == -math.inf
+
+
+def _strict(criterion, ll):
+    """``criterion(ll)`` with numpy's RuntimeWarnings raised, and the other warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        value = criterion(ll)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("criterion", [dg.lpml, dg.waic])
+def test_fit_criteria_reject_nan(criterion):
+    # a NaN log-likelihood is a failed model evaluation, not a bad fit
+    ll = -2.0 * rng(19).random((50, 4))
+    ll[7, 2] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        _strict(criterion, ll)
+
+
+@pytest.mark.parametrize("criterion", [dg.lpml, dg.waic])
+def test_fit_criteria_one_zero_likelihood_draw(criterion):
+    # one draw of zero likelihood makes the harmonic mean and the variance
+    # of the log-likelihoods infinite, though the other draws are finite
+    ll = -2.0 * rng(20).random((50, 4))
+    ll[7, 2] = -math.inf
+    value, caught = _strict(criterion, ll)
+    assert value == -math.inf
+    assert len(caught) == 1 and caught[0][0] is UserWarning
+    assert "zero likelihood under some draw" in caught[0][1]
 
 
 def test_lpml_waic_transient_memory_is_bounded():

@@ -354,8 +354,10 @@ def test_lrn_beta_conditional_generic():
     model = build("LR-N", seed=13)
     beta = np.zeros(3)
     eta = model.X @ beta
-    term, penalty = model._beta_coordinate(0, beta[0], None)
-    logpdf = coordinate_logdens(eta, model._XT[0], beta[0], term, penalty, np.empty_like(eta))[0]
+    term, prior, slopes = model._beta_terms({"beta": beta})
+    logpdf = coordinate_logdens(
+        eta, model._XT[0], beta[0], term, prior, slopes[0], np.empty_like(eta)
+    )[0]
     assert math.isfinite(logpdf(0.2))
 
 
@@ -553,9 +555,11 @@ def _beta_conditional(model, params, j):
     if model.family == "AFT":
         args = (model.logy, model.delta, float(params["sigma"][0]))
     else:
-        args = (math.sqrt(float(params["lambda2"][0])) if model.prior_id == "LR-L" else None,)
-    term, penalty = model._beta_coordinate(j, beta[j], *args)
-    return coordinate_logdens(eta, model._XT[j], beta[j], term, penalty, np.empty_like(eta))[0]
+        args = (params,)
+    term, prior, slopes = model._beta_terms(*args)
+    return coordinate_logdens(
+        eta, model._XT[j], beta[j], term, prior, slopes[j], np.empty_like(eta)
+    )[0]
 
 
 def _sigma_conditional(model, beta):
@@ -620,13 +624,13 @@ def test_scan_slices_on_conditional_at_current_state(prior):
 
     if model.family == "AFT":
         # the completed data the scan's beta updates see
-        beta_coordinate = model._beta_coordinate
+        beta_terms = model._beta_terms
 
-        def spy(j, bj, logy, delta, sigma):
+        def spy(logy, delta, sigma):
             captured["data"] = (logy, delta)
-            return beta_coordinate(j, bj, logy, delta, sigma)
+            return beta_terms(logy, delta, sigma)
 
-        model._beta_coordinate = spy
+        model._beta_terms = spy
     before = state["beta"].copy()
     model.gibbs_scan(state, r, slice_fn)
     beta = state["beta"]
@@ -643,7 +647,7 @@ def test_scan_slices_on_conditional_at_current_state(prior):
         assert got(x) - got(1.0) == pytest.approx(d_want, rel=1e-10, abs=1e-10), x
 
 
-@pytest.mark.parametrize("prior", ["LR-N", "LR-L", "AFT-NH"])
+@pytest.mark.parametrize("prior", ["LR-N", "LR-L", "AFT-NH", "AFT-NI"])
 def test_slice_memo_handoff_is_exact(monkeypatch, prior):
     # the sum a coordinate hands to the next must equal the one the next
     # would compute itself, or the draws would depend on the handoff
@@ -666,8 +670,8 @@ def test_slice_memo_handoff_is_exact(monkeypatch, prior):
     seeded = scans()
     handed = []  # (sum handed over, its point, memo of the density built without it)
 
-    def unseeded(eta, xj, bj, term, penalty, buf, sum_bj=None):
-        logpdf, seen = coordinate_logdens(eta, xj, bj, term, penalty, buf)
+    def unseeded(eta, xj, bj, term, prior, slope, buf, sum_bj=None):
+        logpdf, seen = coordinate_logdens(eta, xj, bj, term, prior, slope, buf)
         if sum_bj is not None:
             handed.append((sum_bj, bj, seen))
         return logpdf, seen
@@ -680,7 +684,7 @@ def test_slice_memo_handoff_is_exact(monkeypatch, prior):
 
 
 def test_coordinate_sweep_hands_on_and_updates_eta():
-    # a fake conditional and a deterministic slice step that moves coordinates
+    # a fake density and a deterministic slice step that moves coordinates
     # 1 and 2 and leaves 0 and 3: the unchanged ones must hand their start sum
     # on too, and eta must follow beta by the same increments
     from mcmcbench.models.base import coordinate_sweep
@@ -691,36 +695,40 @@ def test_coordinate_sweep_hands_on_and_updates_eta():
     start = beta.copy()
     eta = X @ beta
     XT = np.ascontiguousarray(X.T)
+    slopes = [0.4, -1.3, 2.2, 0.9]
     term_calls = [0]
-    built, first_calls = [], []
+    seen, first_calls = [], []
 
     def term(e):
         term_calls[0] += 1
         return np.multiply(e, e, e)
 
-    def conditional(j, bj, scale):
-        built.append((j, bj, beta[j], eta.copy()))
-        return term, lambda b: scale * b * b
+    def prior(b):
+        return 0.3 * b * b
 
     def slice_fn(logpdf, x0, block):
         j = int(block[5:-1])
+        seen.append((j, x0, beta[j], eta.copy()))
         before = term_calls[0]
         first = logpdf(x0)
         first_calls.append(term_calls[0] - before)
         assert first == -float((eta * eta).sum()) - 0.3 * x0 * x0, block
         if j in (1, 2):
-            logpdf(x0 + 0.5)
-            return x0 + 0.5
+            new = x0 + 0.5
+            d = new - x0
+            e = eta + XT[j] * d
+            assert logpdf(new) == -float((e * e).sum()) - (0.3 * new * new - d * slopes[j]), block
+            return new
         return x0
 
-    coordinate_sweep(beta, eta, XT, slice_fn, conditional, 0.3)
+    coordinate_sweep(beta, eta, XT, slice_fn, term, prior, slopes)
     want_eta = X @ start
     for j in (1, 2):
         want_eta += 0.5 * XT[j]
     moved = start + [0.0, 0.5, 0.5, 0.0]
     # coordinate j's density is built at its current value, with 0 ... j-1 updated
-    assert [(j, bj, cur) for j, bj, cur, _ in built] == [(j, b, b) for j, b in enumerate(start)]
-    for j, _, _, eta_j in built:
+    assert [(j, x0, cur) for j, x0, cur, _ in seen] == [(j, b, b) for j, b in enumerate(start)]
+    for j, _, _, eta_j in seen:
         np.testing.assert_allclose(eta_j, X @ np.r_[moved[:j], start[j:]], rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(beta, moved)
     np.testing.assert_array_equal(eta, want_eta)
