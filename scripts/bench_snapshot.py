@@ -26,6 +26,20 @@ itself, and ``us_per_pair`` the µs per ``lpml`` + ``waic`` pair, the minimum
 of 5 repeats of 5 pairs.  ``kernels(src)`` measures the package under any
 ``src`` directory, such as a checkout of the parent commit.
 
+With ``--against REF`` the snapshot also holds ``kernels_ab``, an A/B of
+the model layer against the commit REF.  REF's ``src`` is exported with
+``git archive`` into a temporary directory, and one fresh interpreter with
+one BLAS thread imports both trees' ``mcmcbench``, REF's first, emptying
+``sys.modules`` of the package between the two imports.  For each model in
+``KERNEL_CASES`` it times ``logp_and_grad`` and ``space.transform`` at the
+model's initial u in lockstep: one call of each tree at a time, the tree
+that goes first alternating, ``AB_CALLS`` pairs per round and ``AB_ROUNDS``
+rounds.  Each kernel records the median over the rounds of each tree's
+per-round median µs per call, the rounds in which the working tree was
+faster, and ``bit_equal``: whether both trees give the same bits, value and
+gradient, or parameters and log-Jacobian, at the initial u and at
+``AB_POINTS`` random points around it.
+
 Compare a snapshot only with one taken on the same machine.  Evaluation
 counts (``--trace 1``) are exact; timings are recorded as measured, one run
 each, and a gain is claimed only from alternating parent/change pairs of
@@ -33,14 +47,17 @@ each, and a gain is claimed only from alternating parent/change pairs of
 the probe times compare the code rather than the host's speed of the moment.
 
 Usage:
-    python scripts/bench_snapshot.py --pr N --tier1-s SECONDS
+    python scripts/bench_snapshot.py --pr N --tier1-s SECONDS [--against REF]
 """
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -147,6 +164,87 @@ def kernels(src: Path = ROOT / "src") -> dict:
     }
 
 
+# kernels_ab: rounds, call pairs per round, and random points of the bit check
+AB_ROUNDS, AB_CALLS, AB_POINTS = 15, 400, 200
+
+KERNELS_AB = """
+import importlib, json, statistics, sys, time
+import numpy as np
+
+def load(src):
+    for name in [m for m in sys.modules if m.split(".")[0] == "mcmcbench"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        harness = importlib.import_module("mcmcbench.harness")
+        models = importlib.import_module("mcmcbench.models")
+    finally:
+        sys.path.remove(src)
+    assert harness.__file__.startswith(src), harness.__file__
+    return harness, models
+
+def bits(x):
+    if isinstance(x, dict):
+        return [bits(x[k]) for k in sorted(x)]
+    if isinstance(x, tuple):
+        return [bits(v) for v in x]
+    return np.asarray(x, dtype=float).tobytes()
+
+cases, srcs, rounds, calls, points = json.loads(sys.argv[1])
+trees = [load(src) for src in srcs]
+rng = np.random.default_rng(0)
+out = {}
+for label, prior, design in cases:
+    ms = [models.get_model(prior, harness.make_dataset(harness.ExperimentConfig(prior=prior, **design)),
+                           H=design.get("H")) for harness, models in trees]
+    u = ms[0].initial_u()
+    us = [u] + [u + rng.standard_normal(u.size) for _ in range(points)]
+    out[label] = {}
+    for kernel in ("logp_and_grad", "transform"):
+        fs = [m.logp_and_grad if kernel == "logp_and_grad" else m.space.transform for m in ms]
+        # the transform's pullback is a closure; its output is checked through logp_and_grad
+        same = all(bits(fs[0](x)[:2]) == bits(fs[1](x)[:2]) for x in us)
+        per_round = ([], [])
+        for r in range(rounds):
+            ts = ([], [])
+            for i in range(calls):
+                first = (r + i) % 2
+                for side in (first, 1 - first):
+                    t0 = time.perf_counter()
+                    fs[side](u)
+                    ts[side].append(time.perf_counter() - t0)
+            for side in (0, 1):
+                per_round[side].append(statistics.median(ts[side]) * 1e6)
+        out[label][kernel] = {
+            "ref_us": statistics.median(per_round[0]),
+            "change_us": statistics.median(per_round[1]),
+            "rounds": rounds,
+            "change_won": sum(b < a for a, b in zip(*per_round)),
+            "bit_equal": same,
+        }
+print(json.dumps(out))
+"""
+
+
+def export_src(ref: str, dest: Path) -> Path:
+    """Write the ``src`` tree of commit ``ref`` under ``dest`` and return its path."""
+    tar = subprocess.run(["git", "archive", "--format=tar", ref, "src"], cwd=ROOT,
+                         stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def kernels_ab(ref: str) -> dict:
+    """The lockstep A/B of the model kernels, commit ``ref`` against the working tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = [str(export_src(ref, Path(tmp))), str(ROOT / "src")]
+        argv = json.dumps([KERNEL_CASES, srcs, AB_ROUNDS, AB_CALLS, AB_POINTS])
+        proc = subprocess.run([sys.executable, "-c", KERNELS_AB, argv], env=child_env(),
+                              stdout=subprocess.PIPE, text=True, check=True)
+    return {"against": git("rev-parse", ref), "cases": json.loads(proc.stdout)}
+
+
 def perfbench(workload: str, trace: int) -> dict:
     """The JSON object of the last line of one ``perfbench/run.py`` run."""
     proc = subprocess.run(
@@ -161,11 +259,17 @@ def main():
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
     ap.add_argument("--tier1-s", type=float, required=True,
                     help="wall time of the Tier-1 suite in seconds, measured separately")
+    ap.add_argument("--against", metavar="REF",
+                    help="also write kernels_ab, the model kernels A/B against commit REF")
     args = ap.parse_args()
 
     import_s = import_seconds()
     print("kernels", file=sys.stderr, flush=True)
     kernel_block = kernels()
+    ab_block = None
+    if args.against:
+        print(f"kernels_ab against {args.against}", file=sys.stderr, flush=True)
+        ab_block = kernels_ab(args.against)
     runs = {}
     for name in WORKLOADS:
         runs[name] = {}
@@ -184,6 +288,8 @@ def main():
         "kernels": kernel_block,
         "runs": runs,
     }
+    if ab_block is not None:
+        snapshot["kernels_ab"] = ab_block
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -133,19 +133,20 @@ def _column_blocks(ll):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _minus_inf(m, zero, criterion):
-    """Whether ``criterion`` is -inf, as ``zero`` says; it warns if so.
+def _reject_nan(m, criterion):
+    """Raise ``ValueError`` if ``m``, a column block's max, is NaN anywhere.
 
-    ``zero`` means some observation has zero likelihood under some draw.
-    NaN in ``m``, a column block's max (max propagates NaN), raises
-    ``ValueError``.
+    max propagates NaN, so a NaN anywhere in the block shows in ``m``.
     """
     if np.isnan(m).any():
         raise ValueError(f"the log-likelihood matrix holds NaN; {criterion} is undefined")
-    if zero:
-        msg = f"some observation has zero likelihood under some draw; {criterion} is -inf"
-        warnings.warn(msg, stacklevel=3)
-    return zero
+
+
+def _zero_likelihood(criterion):
+    """-inf, with a warning that some observation has zero likelihood under some draw."""
+    msg = f"some observation has zero likelihood under some draw; {criterion} is -inf"
+    warnings.warn(msg, stacklevel=3)
+    return float("-inf")
 
 
 def lpml(loglik):
@@ -155,21 +156,28 @@ def lpml(loglik):
     draws; evaluated in log space (log-sum-exp of the negated log-liks).
     The negation, shift and exp run in place in one block-sized array per
     column block (see the module docstring), bit-identical to the whole
-    matrix at once.  An observation with zero likelihood under some draw
-    makes it -inf, with a warning; a NaN entry raises ``ValueError``.
+    matrix at once.  A NaN entry raises ``ValueError``; otherwise an
+    observation with zero likelihood under some draw makes it -inf, with a
+    warning.  Once a block holds such a draw, the blocks after it are only
+    screened for NaN.
     """
     ll = np.asarray(loglik, dtype=float)
     if ll.ndim != 2:
         raise ValueError("expected an (n_draws, n_obs) matrix")
     log_mean_inv = np.empty(ll.shape[1])
+    zero = False
     for cols in _column_blocks(ll):
         neg = np.negative(ll[:, cols])
         m = neg.max(axis=0)
-        if _minus_inf(m, not np.isfinite(m).all(), "LPML"):
-            return float("-inf")
+        _reject_nan(m, "LPML")
+        zero = zero or not np.isfinite(m).all()
+        if zero:
+            continue
         neg -= m
         log_mean_inv[cols] = m + np.log(np.mean(np.exp(neg, out=neg), axis=0))
         del neg  # freed before the next block's is made
+    if zero:
+        return _zero_likelihood("LPML")
     return float(-np.sum(log_mean_inv))
 
 
@@ -181,9 +189,10 @@ def waic(loglik):
     Both are reduced per column block (see the module docstring): the shift
     and exp run in place in one block-sized array, ``np.var`` takes one
     block at a time, and each sum runs once over all n observations, so the
-    result is bit-identical to the whole matrix at once.  An observation with
-    zero likelihood under some draw makes it -inf, with a warning, and a NaN
-    entry raises ``ValueError``, as in ``lpml``; the two share that screening.
+    result is bit-identical to the whole matrix at once.  A NaN or a +inf
+    entry raises ``ValueError``: the first term of a +inf is +inf and its
+    variance undefined.  Otherwise an observation with zero likelihood under
+    some draw makes it -inf, with a warning, as in ``lpml``.
     """
     ll = np.asarray(loglik, dtype=float)
     if ll.ndim != 2:
@@ -192,17 +201,26 @@ def waic(loglik):
     if ns < 2:
         raise ValueError("WAIC needs at least 2 draws for the variance term")
     lppd, penalty = np.empty(n), np.empty(n)
+    zero = False
     for cols in _column_blocks(ll):
         block = ll[:, cols]
         m = block.max(axis=0)
-        with np.errstate(invalid="ignore"):  # a zero-likelihood draw: -inf - -inf
-            var = np.var(block, axis=0, ddof=1)
-        if _minus_inf(m, np.isnan(var).any(), "WAIC"):
-            return float("-inf")
+        _reject_nan(m, "WAIC")
+        if np.isposinf(m).any():
+            raise ValueError("the log-likelihood matrix holds +inf; WAIC is undefined")
+        if not zero:
+            with np.errstate(invalid="ignore"):  # a zero-likelihood draw: -inf - -inf
+                var = np.var(block, axis=0, ddof=1)
+            # with no NaN or +inf in the block, a NaN variance is a -inf draw
+            zero = bool(np.isnan(var).any())
+        if zero:
+            continue
         penalty[cols] = var
         shifted = np.subtract(block, m)
         lppd[cols] = m + np.log(np.mean(np.exp(shifted, out=shifted), axis=0))
         del shifted  # freed before the next block's is made
+    if zero:
+        return _zero_likelihood("WAIC")
     return float(np.sum(lppd) - np.sum(penalty))
 
 

@@ -136,6 +136,11 @@ def _ig_norm(a: float, b: float) -> float:
     return a * math.log(b) - gammaln(a)
 
 
+def ig_log_terms(x, log_x, a: float, b: float):
+    """log InverseGamma(x | a, b) at a positive x given its log, entry by entry."""
+    return _ig_norm(a, b) - b / x - (a + 1.0) * log_x
+
+
 def ig_logpdf(x, a: float, b: float) -> float:
     """log InverseGamma(x | a, b) summed over x; -inf unless every entry is positive.
 
@@ -145,10 +150,10 @@ def ig_logpdf(x, a: float, b: float) -> float:
     if isinstance(x, np.ndarray):
         if (x <= 0).any():
             return -math.inf
-        return float((_ig_norm(a, b) - b / x - (a + 1.0) * np.log(x)).sum())
+        return float(ig_log_terms(x, np.log(x), a, b).sum())
     if x <= 0:
         return -math.inf
-    return float(_ig_norm(a, b) - b / x - (a + 1.0) * math.log(x))
+    return float(ig_log_terms(x, math.log(x), a, b))
 
 
 def coordinate_logdens(eta, xj, bj, term, prior, slope, buf, sum_bj=None):

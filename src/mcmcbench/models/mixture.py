@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from ..datagen import Dataset
-from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax
-from .base import Model, ig_logpdf, merge_hyper
+from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax, sum_in_order
+from .base import Model, ig_log_terms, merge_hyper
 
 HYPER_DEFAULTS = {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
 # Draws per evaluation in ``log_likelihood_draws``: 32 draws of H=4, n=1000
@@ -133,15 +133,27 @@ class MixtureModel(Model):
         return float(comp[z, idx].sum() + np.log(params["p"])[z].sum())
 
     def log_prior(self, params):
+        """Log prior density at ``params``, whose blocks are float arrays.
+
+        Computed on Python floats, with numpy only for the inverse-gamma
+        logs; see ``params`` for why that keeps the bits of the array form.
+        """
         h = self.hyper
-        mu = params["mu"]
-        v2s = np.atleast_1d(params["v2"])
-        v2 = float(v2s[0])
+        v2 = float(params["v2"][0])
         if v2 <= 0:
             return -math.inf
-        lp = float((-0.5 * math.log(2.0 * math.pi * v2) - mu * mu / (2.0 * v2)).sum())
-        lp += ig_logpdf(v2s, h["a0"], h["b0"])
-        lp += ig_logpdf(np.asarray(params["sigma2"], dtype=float), h["c0"], h["d0"])
+        s = params["sigma2"].tolist()
+        # inverse-gamma log densities are -inf unless every entry is positive
+        s_ok = not any(sh <= 0 for sh in s)
+        logs = np.log([v2, *s] if s_ok else [v2]).tolist()
+        c = -0.5 * math.log(2.0 * math.pi * v2)
+        lp = sum_in_order([c - m * m / (2.0 * v2) for m in params["mu"].tolist()])
+        lp += ig_log_terms(v2, logs[0], h["a0"], h["b0"])
+        if s_ok:
+            c0, d0 = h["c0"], h["d0"]
+            lp += sum_in_order([ig_log_terms(sh, lh, c0, d0) for sh, lh in zip(s, logs[1:])])
+        else:
+            lp += -math.inf
         lp += self._log_dirichlet_norm
         return lp
 
@@ -173,7 +185,6 @@ class MixtureModel(Model):
         if self.is_latent:
             return super().logp_and_grad(u)  # raises
         params, log_jac, pullback = self.space.transform(u)
-        h = self.hyper
         mu, s, p = params["mu"], params["sigma2"], params["p"]
         v2 = float(params["v2"][0])
         d, dd, comp = self._grad_work
@@ -187,16 +198,41 @@ class MixtureModel(Model):
         S0 = W.sum(axis=1)
         S1 = np.einsum("hn,hn->h", W, d)
         S2 = np.einsum("hn,hn->h", W, dd)
-        g_mu = S1 / s - mu / v2
-        g_s = S2 / (2.0 * s**2) - S0 / (2.0 * s) - (h["c0"] + 1.0) / s + h["d0"] / s**2
+        try:
+            grads = self._block_grads(
+                mu.tolist(), s.tolist(), v2, p.tolist(), S0.tolist(), S1.tolist(), S2.tolist()
+            )
+        except (ZeroDivisionError, OverflowError):
+            # a zero variance or weight, or v2**2 past the largest float: numpy
+            # scalars give the inf or nan of numpy arithmetic, and the same
+            # bits as floats elsewhere
+            grads = self._block_grads(mu, s, np.float64(v2), p, S0, S1, S2)
+        return value, pullback(grads)
+
+    def _block_grads(self, mu, s, v2, p, S0, S1, S2):
+        """Per-block gradient of the log posterior on the constrained scale.
+
+        ``S0``, ``S1`` and ``S2`` are the per-component sums over the
+        observations of the responsibilities, of them times the residuals and
+        of them times the squared residuals.  The arguments are sequences of
+        H floats and ``v2`` a float.  The arithmetic is that of the (H,)
+        array form, term by term: ``s**2`` on an array is ``s * s``, while
+        ``v2**2`` on a float is the libm power.
+        """
+        h = self.hyper
+        c1, d0 = h["c0"] + 1.0, h["d0"]
+        g_mu = [a / sh - m / v2 for a, sh, m in zip(S1, s, mu)]
+        g_s = [
+            b / (2.0 * (sh * sh)) - a / (2.0 * sh) - c1 / sh + d0 / (sh * sh)
+            for a, b, sh in zip(S0, S2, s)
+        ]
         g_v2 = (
-            (-0.5 / v2 + mu * mu / (2.0 * v2**2)).sum()
+            sum_in_order([-0.5 / v2 + m * m / (2.0 * v2**2) for m in mu])
             - (h["a0"] + 1.0) / v2
             + h["b0"] / v2**2
         )
-        g_p = S0 / p  # Dirichlet(1,..,1) prior is flat
-        grads = {"mu": g_mu, "sigma2": g_s, "v2": g_v2, "p": g_p}
-        return value, pullback(grads)
+        g_p = [a / ph for a, ph in zip(S0, p)]  # Dirichlet(1,..,1) prior is flat
+        return {"mu": g_mu, "sigma2": g_s, "v2": g_v2, "p": g_p}
 
     # ---- sampler hooks ---------------------------------------------
 

@@ -18,6 +18,14 @@ that call computed, so calls at other u do not disturb it.
 ``ParamSpace.transform`` does the same for the whole vector, and each
 model's log posterior adds its log-Jacobian, so every backend targets the
 same distribution.
+
+``Log`` and ``PinnedSoftmax`` act on blocks of a few entries, where a numpy
+call costs about a microsecond whatever its size.  So they work on Python
+floats and keep numpy only for ``exp`` and ``log``, each over the whole
+block: ``np.exp`` and ``np.log`` can differ from ``math.exp`` and
+``math.log`` in the last bit, while +, -, * and / give the same bits on
+floats as on arrays, and ``sum_in_order`` adds as numpy does.  No division
+they make can be by zero, where a float raises and numpy gives inf or nan.
 """
 
 from __future__ import annotations
@@ -27,6 +35,20 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+
+def sum_in_order(xs):
+    """Sum of a non-empty sequence of floats, added from left to right.
+
+    numpy's ``sum`` adds fewer than 8 float64 entries in this order, so on a
+    block's vector this is numpy's sum bit for bit.  Builtin ``sum`` starts
+    from the int 0, which turns a sum of -0.0 into 0.0, and from Python 3.12
+    it compensates the rounding.
+    """
+    total = xs[0]
+    for x in xs[1:]:
+        total += x
+    return total
 
 
 class Transform:
@@ -59,7 +81,13 @@ class Log(Transform):
         # exp overflows only past u = 709; a caller that steps that far, as a
         # divergent NUTS trajectory can, sets np.errstate once for its loop
         x = np.exp(u)
-        return x, float(u.sum()), lambda grad_x: grad_x * x + 1.0
+
+        def pullback(grad_x):
+            if isinstance(grad_x, float):  # a block of one
+                grad_x = (grad_x,)
+            return [g * xh + 1.0 for g, xh in zip(grad_x, x.tolist())]
+
+        return x, sum_in_order(u.tolist()), pullback
 
     def unconstrain(self, x):
         return np.log(np.asarray(x, dtype=float))
@@ -102,19 +130,23 @@ class PinnedSoftmax(Transform):
         return self.n_weights
 
     def forward(self, u):
-        q = np.zeros(self.n_weights)
-        q[:-1] = u
-        q -= q.max()
-        e = np.exp(q)
-        p = e / e.sum()
+        q = u.tolist()
+        q.append(0.0)
+        # a NaN logit makes every weight NaN whichever maximum is taken
+        m = max(q)
+        e = np.exp([qh - m for qh in q]).tolist()
+        total = sum_in_order(e)  # at least exp(0) = 1, or NaN
+        p = [eh / total for eh in e]
+        x = np.array(p)
 
         def pullback(grad_x):
             # grad_x has length H; J_{hk} = p_h (delta_hk - p_k) for k < H.
-            g = p * grad_x
-            jac_part = 1.0 - self.n_weights * p[:-1]
-            return g[:-1] - p[:-1] * g.sum() + jac_part
+            g = [ph * gh for ph, gh in zip(p, grad_x)]
+            g_sum = sum_in_order(g)
+            H = self.n_weights
+            return [g[k] - p[k] * g_sum + (1.0 - H * p[k]) for k in range(H - 1)]
 
-        return p, float(np.log(p).sum()), pullback
+        return x, sum_in_order(np.log(x).tolist()), pullback
 
     def unconstrain(self, x):
         x = np.asarray(x, dtype=float)
@@ -166,9 +198,9 @@ class ParamSpace:
 
         ``params`` maps each block name to its constrained value and the
         log-Jacobian is the block sum.  ``pullback(grads)`` takes per-block
-        gradients of log f on the constrained scale, each a float array shaped
-        like its block's value or, for a block of one, a float, and returns the
-        gradient of log f(x(u)) + log|J(u)| in u.
+        gradients of log f on the constrained scale, each a float array or a
+        list of floats shaped like its block's value or, for a block of one, a
+        float, and returns the gradient of log f(x(u)) + log|J(u)| in u.
         """
         params, pullbacks = {}, []
         log_jac = 0

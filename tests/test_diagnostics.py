@@ -291,6 +291,34 @@ def test_fit_criteria_one_zero_likelihood_draw(criterion):
     assert "zero likelihood under some draw" in caught[0][1]
 
 
+@pytest.mark.parametrize("block_bytes", [1, 1 << 30])
+@pytest.mark.parametrize("criterion", [dg.lpml, dg.waic])
+def test_fit_criteria_nan_after_a_zero_likelihood_block(monkeypatch, criterion, block_bytes):
+    # the -inf is in the first column block and the NaN in the last: a NaN
+    # fails the call however the columns are split
+    monkeypatch.setattr(dg, "FIT_BLOCK_BYTES", block_bytes)
+    ll = -3.0 * rng(21).random((300, 700))
+    ll[5, 0] = -math.inf
+    ll[9, -1] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        _strict(criterion, ll)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 30])
+def test_waic_rejects_plus_inf(monkeypatch, block_bytes):
+    # a +inf log-likelihood makes the first term +inf and the variance
+    # undefined; it is not a zero likelihood, even after a block that has one
+    monkeypatch.setattr(dg, "FIT_BLOCK_BYTES", block_bytes)
+    ll = -3.0 * rng(22).random((300, 700))
+    ll[5, 0] = -math.inf
+    ll[9, -1] = math.inf
+    with pytest.raises(ValueError, match=r"\+inf"):
+        _strict(dg.waic, ll)
+    ll[5, 0] = -1.0
+    with pytest.raises(ValueError, match=r"\+inf"):
+        _strict(dg.waic, ll)
+
+
 def test_lpml_waic_transient_memory_is_bounded():
     # a (2000, 2000) matrix is 32 MB; the fit criteria may add one column block
     # of it at a time, not whole copies

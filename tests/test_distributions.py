@@ -143,6 +143,9 @@ def test_outside_support_is_minus_inf():
         assert scale_prior(prior, sigma0=4.0)(4.5) == -math.inf, prior
     model, prm, _ = mixture_prior(2)
     assert model.log_prior({**prm, "v2": np.array([0.0]), "p": np.full(2, 0.5)}) == -math.inf
+    for x in (0.0, -0.5):
+        sigma2 = np.array([1.0, x])
+        assert model.log_prior({**prm, "sigma2": sigma2, "p": np.full(2, 0.5)}) == -math.inf
 
 
 def test_invalid_parameters_raise():

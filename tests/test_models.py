@@ -143,6 +143,28 @@ def test_mixture_gradient_work_arrays_carry_nothing_over(H):
     assert v2 == model.log_posterior_u(u2)
 
 
+@pytest.mark.parametrize("H", [2, 4])
+def test_mixture_gradient_far_out_gives_numpy_inf_and_nan(H):
+    # where exp under- or overflows, or v2**2 passes the largest float, the
+    # gradient takes the inf or nan of numpy arithmetic instead of raising,
+    # and the value is log_posterior_u's
+    model = build("MM", seed=3, n=50, H=H)
+    u0 = model.initial_u()
+    points = []
+    for j in range(model.dim):
+        for x in (800.0, -800.0):
+            points.append(u0.copy())
+            points[-1][j] = x
+    for x in (356.0, -800.0):
+        points.append(u0.copy())
+        points[-1][model.space.u_slice("v2")] = x
+    with np.errstate(all="ignore"):
+        for u in points:
+            value, grad = model.logp_and_grad(u)
+            assert grad.shape == (model.dim,)
+            np.testing.assert_equal(value, model.log_posterior_u(u))
+
+
 def test_gradient_vanishes_at_mode():
     model = build("LR-N", seed=3, n=60, p=3)
     res = minimize(
