@@ -12,19 +12,17 @@ by hand.  Beside each run, as ``trace<T>_probe_s``, it stores the
 seconds taken by perfbench's ``speed_probe`` loop just before and just after
 the run, a reference for the host's speed at the time.
 
-The ``kernels`` block times the model layer in a fresh interpreter with one
-BLAS thread: for each model size in ``KERNEL_CASES``, the µs per call of
-``logp_and_grad``, ``space.transform``, ``log_prior`` and
-``log_likelihood_pointwise`` at the model's initial u, each the minimum of
-7 repeats of 3000 calls.  Its ``mm_grad_rss_mb`` is the peak resident memory
-(``ru_maxrss``) of another fresh interpreter that builds the marginal
-mixture at n=1000, H=4 and takes one gradient.  Its ``fit_criteria`` times
-the diagnostics layer, in one more fresh interpreter, on a fixed random
-log-likelihood matrix of each (N_s, n) in ``FIT_SHAPES``: ``peak_mb`` is the
-``tracemalloc`` peak of one ``lpml`` then ``waic`` call above the matrix
-itself, and ``us_per_pair`` the µs per ``lpml`` + ``waic`` pair, the minimum
-of 5 repeats of 5 pairs.  ``kernels(src)`` measures the package under any
-``src`` directory, such as a checkout of the parent commit.
+The ``kernels`` block holds two measurements, each in a fresh interpreter
+with one BLAS thread.  Its ``mm_grad_rss_mb`` is the peak resident memory
+(``ru_maxrss``) of an interpreter that builds the marginal mixture at
+n=1000, H=4 and takes one gradient.  Its ``fit_criteria`` times the
+diagnostics layer on a fixed random log-likelihood matrix of each (N_s, n)
+in ``FIT_SHAPES``: ``peak_mb`` is the ``tracemalloc`` peak of one ``lpml``
+then ``waic`` call above the matrix itself, and ``us_per_pair`` the µs per
+``lpml`` + ``waic`` pair, the minimum of 5 repeats of 5 pairs.
+``kernels(src)`` measures the package under any ``src`` directory, such as
+a checkout of the parent commit.  Model-kernel timings come only from
+``kernels_ab`` below: a fresh interpreter per tree cannot resolve a few µs.
 
 With ``--against REF`` the snapshot also holds ``kernels_ab``, an A/B of
 the model layer against the commit REF.  REF's ``src`` is exported with
@@ -88,7 +86,7 @@ def import_seconds() -> float:
     return statistics.median(times)
 
 
-# (label, prior, design): the model sizes the kernels block times
+# (label, prior, design): the model sizes kernels_ab times
 KERNEL_CASES = (
     ("LM-C n=100 p=4", "LM-C", {"n": 100, "p": 4}),
     ("LR-N n=100 p=16", "LR-N", {"n": 100, "p": 16}),
@@ -97,31 +95,10 @@ KERNEL_CASES = (
     ("MM n=1000 H=4", "MM", {"n": 1000, "H": 4}),
 )
 
-KERNEL_TIMES = """
-import json, sys, timeit
-from mcmcbench.harness import ExperimentConfig, make_dataset
-from mcmcbench.models import get_model
-out = {}
-for label, prior, design in json.loads(sys.argv[1]):
-    model = get_model(prior, make_dataset(ExperimentConfig(prior=prior, **design)), H=design.get("H"))
-    u = model.initial_u()
-    params = model.space.constrain(u)
-    calls = {
-        "logp_and_grad": lambda: model.logp_and_grad(u),
-        "transform": lambda: model.space.transform(u),
-        "log_prior": lambda: model.log_prior(params),
-        "log_likelihood_pointwise": lambda: model.log_likelihood_pointwise(params),
-    }
-    out[label] = {name: min(timeit.repeat(f, number=3000, repeat=7)) / 3000 * 1e6
-                  for name, f in calls.items()}
-print(json.dumps(out))
-"""
-
 MM_GRAD_RSS = """
 import resource
-from mcmcbench.datagen import gen_mixture
-from mcmcbench.models import get_model
-model = get_model("MM", gen_mixture(1000, 4), H=4)
+from mcmcbench.models import PRIORS, get_model
+model = get_model("MM", PRIORS["MM"].generate(1000, 4), H=4)  # gen_mixture, on any tree
 model.logp_and_grad(model.initial_u())
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
@@ -149,8 +126,8 @@ print(json.dumps(out))
 
 
 def kernels(src: Path = ROOT / "src") -> dict:
-    """µs per call of the model kernels, the MM gradient's peak RSS and the
-    fit criteria's memory and time, for the package in ``src``."""
+    """The MM gradient's peak RSS and the fit criteria's memory and time, for
+    the package in ``src``."""
     env = {**child_env(), "PYTHONPATH": str(src)}
 
     def child(*argv: str) -> str:
@@ -158,7 +135,6 @@ def kernels(src: Path = ROOT / "src") -> dict:
                               text=True, check=True).stdout
 
     return {
-        "us_per_call": json.loads(child(KERNEL_TIMES, json.dumps(KERNEL_CASES))),
         "mm_grad_rss_mb": float(child(MM_GRAD_RSS)),
         "fit_criteria": json.loads(child(FIT_CRITERIA, json.dumps(FIT_SHAPES))),
     }

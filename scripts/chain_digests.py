@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 of the retained draws for every prior x backend.
+"""Print a SHA-256 of the retained draws for every prior x backend, and of datasets.
 
 Each chain comes from ``run_experiment(ExperimentConfig(prior=...,
 n_iter=2000, n_burn=1000, seed=0))`` with the other defaults (n=100, p=4,
@@ -18,6 +18,16 @@ divergence.  Then come Gibbs-only lines for the cells in ``WIDE_GIBBS``,
 LR-N and LR-L at n=100 and p=16, where the LR coordinate sweep runs 16
 coefficients per scan.  They use the same schedule and seed.
 
+Last come dataset lines, one per cell of ``DATASETS`` and seed in
+``DATASET_SEEDS``: the prior, the design and the seed, then the SHA-256 of
+the dataset that ``harness.make_dataset(ExperimentConfig(...))`` draws
+(y, X, the censoring indicators and the ground truth).  The cells cover
+the designs of the tests, the scripts and perfbench: binary covariates at
+p = 4, 16 and 50, trailing zero coefficients, censoring fractions 0.2, 0.5
+and 0.8, and mixtures of 2 and 4 components.  The datasets are drawn
+through ``harness`` alone, so the script runs against the ``src`` of an
+older tree through PYTHONPATH.
+
 Run it before and after a change on the same machine and diff the two
 outputs: equal lines mean bit-identical draws, sampler statistics, fit
 numbers and report rows, and a line that differs only in its fit numbers
@@ -27,6 +37,7 @@ machines are not comparable.
 
 Usage:
     python scripts/chain_digests.py > digests.txt
+    PYTHONPATH=other/src python scripts/chain_digests.py > other.txt
 """
 
 import hashlib
@@ -34,7 +45,7 @@ import json
 
 import numpy as np
 
-from mcmcbench.harness import ExperimentConfig, run_experiment
+from mcmcbench.harness import ExperimentConfig, make_dataset, run_experiment
 from mcmcbench.models import PRIORS
 
 TIMING_CELLS = ("t_s", "N_it_per_s")
@@ -42,6 +53,23 @@ TIMING_CELLS = ("t_s", "N_it_per_s")
 DIVERGENT_NUTS = (("AFT-NH", {"n": 5, "k": 0.5}), ("AFT-NI", {"n": 20, "k": 0.5}))
 # (prior, design) cells of 16 coefficients, as in the lr-gibbs workload
 WIDE_GIBBS = (("LR-N", {"p": 16}), ("LR-L", {"p": 16}))
+# (prior, design) cells whose datasets are hashed, each at every seed of DATASET_SEEDS
+DATASETS = (
+    ("LM-C", {"n": 100, "p": 4}),
+    ("LM-C", {"n": 1000, "p": 16}),
+    ("LM-C", {"n": 500, "p": 4, "covariates": "binary"}),
+    ("LM-C", {"n": 500, "p": 16, "covariates": "binary"}),
+    ("LM-C", {"n": 500, "p": 50, "covariates": "binary"}),
+    ("LM-L", {"n": 1000, "p": 30, "zero_pattern": 15}),
+    ("LR-N", {"n": 100, "p": 16}),
+    ("LR-L", {"n": 1000, "p": 4, "zero_pattern": 3}),
+    ("MM", {"n": 100, "H": 2}),
+    ("MM", {"n": 1000, "H": 4}),
+    ("AFT-NH", {"n": 1000, "p": 4, "k": 0.2}),
+    ("AFT-NH", {"n": 1000, "p": 4, "k": 0.5}),
+    ("AFT-NI", {"n": 1000, "p": 3, "k": 0.8}),
+)
+DATASET_SEEDS = (0, 1, 7)
 
 
 def sha256(data: bytes) -> str:
@@ -63,6 +91,17 @@ def print_digests(cfg):
         )
 
 
+def dataset_digest(ds) -> str:
+    """SHA-256 of a dataset's arrays and ground truth, each field in turn; None hashes as b"-"."""
+    truth = ds.truth
+    mixture = truth.mixture or {}
+    fields = (ds.y, ds.X, ds.delta, truth.beta, truth.sigma2, *(mixture[k] for k in sorted(mixture)))
+    h = hashlib.sha256()
+    for a in fields:
+        h.update(b"-" if a is None else np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 def main():
     for prior in PRIORS:
         print_digests(ExperimentConfig(prior=prior, n_iter=2000, n_burn=1000, seed=0))
@@ -73,6 +112,11 @@ def main():
                     prior=prior, **design, backends=(backend,), n_iter=2000, n_burn=1000, seed=0
                 )
             )
+    for prior, design in DATASETS:
+        for seed in DATASET_SEEDS:
+            ds = make_dataset(ExperimentConfig(prior=prior, **design, seed=seed))
+            cell = " ".join(f"{k}={v}" for k, v in design.items())
+            print(f"dataset {prior:7s} {cell} seed={seed} {dataset_digest(ds)}", flush=True)
 
 
 if __name__ == "__main__":

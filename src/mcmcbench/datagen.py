@@ -1,33 +1,22 @@
-"""Synthetic dataset generation with recorded ground truth.
+"""What the synthetic data generators of every family share.
 
-A single base seed derives independent sub-streams for the regression
+Each family's ``gen_*`` lives in its model module, beside its density,
+and draws y through that module's ``simulate``.  A single base seed
+derives independent sub-streams (``_streams``) for the regression
 coefficients, the noise variance, the covariates and the observation
 noise, so sweeping n keeps beta_true fixed.
 
-Regression coefficients are drawn U(-7, 7) for linear/logistic models
-and U(-1, 1) for the survival model; the noise variance is U(2, 10).
 Covariates are iid standard normal with the first column pinned to 1
 (intercept); binary covariate schedules are defined for p in {4, 16, 50}.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Dataset",
-    "GroundTruth",
-    "gen_linear",
-    "gen_logistic",
-    "gen_mixture",
-    "gen_aft",
-    "check_design",
-]
-
-LOG2 = math.log(2.0)
+__all__ = ["Dataset", "GroundTruth", "check_design"]
 
 # Bernoulli success probabilities for binary covariate columns (excluding
 # the intercept), keyed by p.
@@ -116,73 +105,3 @@ def _draw_X(rng, n: int, p: int, covariates: str) -> np.ndarray:
             probs = np.asarray(BINARY_SCHEDULES[p])
         X[:, 1:] = (rng.random((n, p - 1)) < probs).astype(float)
     return X
-
-
-def gen_linear(
-    n: int,
-    p: int,
-    covariates: str = "continuous",
-    zero_pattern: int = 0,
-    seed: int = 0,
-) -> Dataset:
-    """Gaussian linear regression data y ~ N(x'beta, sigma2)."""
-    check_design(n, p, covariates, zero_pattern, seed=seed)
-    r_beta, r_sig, r_x, r_noise = _streams(seed)
-    beta = _draw_beta(r_beta, p, -7.0, 7.0, zero_pattern)
-    sigma2 = r_sig.uniform(2.0, 10.0)
-    X = _draw_X(r_x, n, p, covariates)
-    y = X @ beta + math.sqrt(sigma2) * r_noise.standard_normal(n)
-    return Dataset(y=y, X=X, truth=GroundTruth(beta=beta, sigma2=sigma2))
-
-
-def gen_logistic(n: int, p: int, zero_pattern: int = 0, seed: int = 0) -> Dataset:
-    """Binary data y ~ Bernoulli(sigmoid(x'beta))."""
-    check_design(n, p, zero_pattern=zero_pattern, seed=seed)
-    r_beta, _, r_x, r_noise = _streams(seed)
-    beta = _draw_beta(r_beta, p, -7.0, 7.0, zero_pattern)
-    X = _draw_X(r_x, n, p, "continuous")
-    prob = 1.0 / (1.0 + np.exp(-(X @ beta)))
-    y = (r_noise.random(n) < prob).astype(float)
-    return Dataset(y=y, X=X, truth=GroundTruth(beta=beta))
-
-
-def gen_mixture(n: int, H: int, seed: int = 0) -> Dataset:
-    """Equal-weight univariate Gaussian mixture data, unit component sd."""
-    check_design(n, H=H, seed=seed)
-    if H == 2:
-        r_mu, _, _, r_noise = _streams(seed)
-        mu = np.array([r_mu.uniform(-2.0, 0.0), r_mu.uniform(1.0, 3.0)])
-    else:
-        _, _, _, r_noise = _streams(seed)
-        mu = np.array([-4.0, 0.0, 2.0, 6.0])
-    weights = np.full(H, 1.0 / H)
-    z = r_noise.integers(0, H, size=n)
-    y = mu[z] + r_noise.standard_normal(n)
-    truth = GroundTruth(
-        mixture={"weights": weights, "means": mu, "sds": np.ones(H)}
-    )
-    return Dataset(y=y, truth=truth)
-
-
-def gen_aft(n: int, p: int, k: float, seed: int = 0) -> Dataset:
-    """Right-censored Weibull survival data.
-
-    Failure times follow T ~ Wei(1/sigma, log(2) * exp(-x'beta/sigma));
-    censoring times use the same shape with the rate scaled by k/(1-k),
-    which censors a fraction k of observations on average.
-    """
-    check_design(n, p, k=k, seed=seed)
-    r_beta, r_sig, r_x, r_noise = _streams(seed)
-    beta = _draw_beta(r_beta, p, -1.0, 1.0, 0)
-    sigma2 = r_sig.uniform(2.0, 10.0)
-    sigma = math.sqrt(sigma2)
-    X = _draw_X(r_x, n, p, "continuous")
-    lam_T = LOG2 * np.exp(-(X @ beta) / sigma)
-    lam_C = (k / (1.0 - k)) * lam_T
-    T = (r_noise.exponential(1.0, size=n) / lam_T) ** sigma
-    C = (r_noise.exponential(1.0, size=n) / lam_C) ** sigma
-    y = np.minimum(T, C)
-    delta = (T <= C).astype(np.int64)
-    truth = GroundTruth(beta=beta, sigma2=sigma2)
-    return Dataset(y=y, X=X, delta=delta, truth=truth)
-

@@ -127,7 +127,7 @@ class ExperimentConfig:
 
 
 def _dataset_args(cfg: ExperimentConfig) -> dict:
-    """Keyword arguments of the prior's ``datagen.gen_*`` call."""
+    """Keyword arguments of the prior's ``gen_*`` call (``PriorDesign.generate``)."""
     design = {name: getattr(cfg, name) for name in PRIORS[cfg.prior].fields}
     return {"n": cfg.n, "seed": cfg.seed, **design}
 

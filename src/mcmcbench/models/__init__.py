@@ -9,36 +9,36 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from ..datagen import Dataset, gen_aft, gen_linear, gen_logistic, gen_mixture
+from ..datagen import Dataset
 from . import aft, base, linear, logistic, mixture
 
 
 class PriorDesign(NamedTuple):
     model: type  # the Model subclass; its ``family`` names the family
     hyper: dict  # default hyperparameters; ``hyper`` may override only these
-    generate: Callable  # the ``datagen.gen_*`` function that draws the prior's data
+    generate: Callable  # the family module's ``gen_*`` function that draws the prior's data
     fields: tuple  # the design fields it draws, besides n and seed
     schedule: tuple  # default (N_it, N_b); N_thin defaults to 2
 
 
 PRIORS = {
-    "LM-C": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-C"], gen_linear,
+    "LM-C": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-C"], linear.gen_linear,
                         ("p", "covariates"), (11000, 1000)),
-    "LM-WI": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-WI"], gen_linear,
+    "LM-WI": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-WI"], linear.gen_linear,
                          ("p", "covariates"), (15000, 5000)),
-    "LM-NI": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-NI"], gen_linear,
+    "LM-NI": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-NI"], linear.gen_linear,
                          ("p", "covariates"), (15000, 5000)),
-    "LM-L": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-L"], gen_linear,
+    "LM-L": PriorDesign(linear.LinearModel, linear.HYPER_DEFAULTS["LM-L"], linear.gen_linear,
                         ("p", "covariates", "zero_pattern"), (20000, 10000)),
-    "LR-N": PriorDesign(logistic.LogisticModel, logistic.HYPER_DEFAULTS["LR-N"], gen_logistic,
-                        ("p", "zero_pattern"), (20000, 10000)),
-    "LR-L": PriorDesign(logistic.LogisticModel, logistic.HYPER_DEFAULTS["LR-L"], gen_logistic,
-                        ("p", "zero_pattern"), (15000, 10000)),
-    "MM": PriorDesign(mixture.MixtureModel, mixture.HYPER_DEFAULTS, gen_mixture,
+    "LR-N": PriorDesign(logistic.LogisticModel, logistic.HYPER_DEFAULTS["LR-N"],
+                        logistic.gen_logistic, ("p", "zero_pattern"), (20000, 10000)),
+    "LR-L": PriorDesign(logistic.LogisticModel, logistic.HYPER_DEFAULTS["LR-L"],
+                        logistic.gen_logistic, ("p", "zero_pattern"), (15000, 10000)),
+    "MM": PriorDesign(mixture.MixtureModel, mixture.HYPER_DEFAULTS, mixture.gen_mixture,
                       ("H",), (20000, 10000)),
-    "AFT-NH": PriorDesign(aft.AFTModel, aft.HYPER_DEFAULTS["AFT-NH"], gen_aft,
+    "AFT-NH": PriorDesign(aft.AFTModel, aft.HYPER_DEFAULTS["AFT-NH"], aft.gen_aft,
                           ("p", "k"), (10000, 5000)),
-    "AFT-NI": PriorDesign(aft.AFTModel, aft.HYPER_DEFAULTS["AFT-NI"], gen_aft,
+    "AFT-NI": PriorDesign(aft.AFTModel, aft.HYPER_DEFAULTS["AFT-NI"], aft.gen_aft,
                           ("p", "k"), (10000, 5000)),
 }
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..datagen import Dataset
+from ..datagen import Dataset, GroundTruth, _draw_beta, _draw_X, _streams, check_design
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
 from .base import Model, coordinate_sweep, gaussian_prior, merge_hyper
 
@@ -40,6 +40,37 @@ def _cum_hazard(logy, eta, sigma, out=None):
     np.divide(out, sigma, out)
     np.minimum(out, 600.0, out=out)
     return np.multiply(np.exp(out, out), LOG2, out)
+
+
+def _rate(beta, X, sigma):
+    """Weibull rate lam_i = log 2 * exp(-x_i'beta / sigma) of each row of X."""
+    return LOG2 * np.exp(-(X @ beta) / sigma)
+
+
+def simulate(params: dict, X: np.ndarray, rng) -> np.ndarray:
+    """Uncensored event times T_i = (E_i / lam_i)^sigma ~ Wei(1/sigma, lam_i), E_i ~ Exp(1)."""
+    sigma = params["sigma"][0]
+    return (rng.exponential(1.0, size=X.shape[0]) / _rate(params["beta"], X, sigma)) ** sigma
+
+
+def gen_aft(n: int, p: int, k: float, seed: int = 0) -> Dataset:
+    """Right-censored data: beta_j ~ U(-1, 1), sigma2 ~ U(2, 10), T by ``simulate``.
+
+    Censoring times use T's shape and k/(1-k) times its rate, which censors
+    a fraction k of observations on average.
+    """
+    check_design(n, p, k=k, seed=seed)
+    r_beta, r_sig, r_x, r_noise = _streams(seed)
+    beta = _draw_beta(r_beta, p, -1.0, 1.0, 0)
+    sigma2 = r_sig.uniform(2.0, 10.0)
+    sigma = math.sqrt(sigma2)
+    X = _draw_X(r_x, n, p, "continuous")
+    T = simulate({"beta": beta, "sigma": np.array([sigma])}, X, r_noise)
+    lam_C = (k / (1.0 - k)) * _rate(beta, X, sigma)
+    C = (r_noise.exponential(1.0, size=n) / lam_C) ** sigma
+    y = np.minimum(T, C)
+    delta = (T <= C).astype(np.int64)
+    return Dataset(y=y, X=X, delta=delta, truth=GroundTruth(beta=beta, sigma2=sigma2))
 
 
 class AFTModel(Model):
@@ -70,7 +101,7 @@ class AFTModel(Model):
         return self.hyper["b02"] if self.prior_id == "AFT-NH" else self.hyper["M"] ** 2
 
     def log_likelihood_pointwise(self, params):
-        sigma = float(np.atleast_1d(params["sigma"])[0])
+        sigma = params["sigma"][0]
         if sigma <= 0.0 or not math.isfinite(sigma):
             return np.full(self.y.size, -math.inf)
         eta = self.X @ params["beta"]
@@ -90,7 +121,7 @@ class AFTModel(Model):
 
     def log_prior(self, params):
         beta = np.asarray(params["beta"], dtype=float)
-        sigma = float(np.atleast_1d(params["sigma"])[0])
+        sigma = params["sigma"][0]
         h = self.hyper
         lp = gaussian_prior(beta, self._beta_var())
         if sigma <= 0:
@@ -104,7 +135,7 @@ class AFTModel(Model):
     def logp_and_grad(self, u):
         params, log_jac, pullback = self.space.transform(u)
         beta = params["beta"]
-        sigma = float(np.atleast_1d(params["sigma"])[0])
+        sigma = params["sigma"][0]
         h = self.hyper
         if sigma <= 0.0 or not math.isfinite(sigma):
             return -math.inf, np.zeros(self.dim)

@@ -114,10 +114,6 @@ def merge_hyper(defaults: dict, hyper: dict | None) -> dict:
     return {**defaults, **hyper}
 
 
-def gaussian_loglik(y: np.ndarray, mean, sigma2: float) -> np.ndarray:
-    return -0.5 * (np.log(2.0 * np.pi * sigma2) + (y - mean) ** 2 / sigma2)
-
-
 # Integer shapes a whose log((a-1)!) equals scipy.special.gammaln(a) bit for bit
 # (checked with scipy 1.17.1; a = 14 to 17 differ in the last bit)
 EXACT_LGAMMA_SHAPES = range(1, 14)
@@ -141,16 +137,8 @@ def ig_log_terms(x, log_x, a: float, b: float):
     return _ig_norm(a, b) - b / x - (a + 1.0) * log_x
 
 
-def ig_logpdf(x, a: float, b: float) -> float:
-    """log InverseGamma(x | a, b) summed over x; -inf unless every entry is positive.
-
-    A scalar ``x`` takes ``math.log`` and an array ``np.log``; they can differ
-    in the last bit, and each model keeps the one its draws were made with.
-    """
-    if isinstance(x, np.ndarray):
-        if (x <= 0).any():
-            return -math.inf
-        return float(ig_log_terms(x, np.log(x), a, b).sum())
+def ig_logpdf(x: float, a: float, b: float) -> float:
+    """log InverseGamma(x | a, b) at a scalar x; -inf unless x is positive."""
     if x <= 0:
         return -math.inf
     return float(ig_log_terms(x, math.log(x), a, b))
@@ -202,8 +190,15 @@ def coordinate_sweep(beta, eta, XT, slice_fn, term, prior, slopes) -> None:
 
 
 def gaussian_prior(beta: np.ndarray, var: float) -> float:
-    """log N(beta | 0, var I), the Gaussian prior on regression coefficients."""
-    return -0.5 * beta.size * math.log(2.0 * math.pi * var) - beta @ beta / (2.0 * var)
+    """log N(beta | 0, var I), the Gaussian prior on regression coefficients.
+
+    At var = 0, where ``math.log`` raises, the value is numpy's nan.
+    """
+    try:
+        log_norm = math.log(2.0 * math.pi * var)
+    except ValueError:
+        log_norm = np.log(2.0 * math.pi * var)
+    return -0.5 * beta.size * log_norm - beta @ beta / (2.0 * var)
 
 
 @dataclass

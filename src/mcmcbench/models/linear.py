@@ -18,16 +18,9 @@ import math
 
 import numpy as np
 
-from ..datagen import Dataset
+from ..datagen import Dataset, GroundTruth, _draw_beta, _draw_X, _streams, check_design
 from ..params import Block, Identity, Log, ParamSpace, ScaledLogit
-from .base import (
-    LassoPrior,
-    Model,
-    gaussian_loglik,
-    gaussian_prior,
-    ig_logpdf,
-    merge_hyper,
-)
+from .base import LassoPrior, Model, gaussian_prior, ig_logpdf, merge_hyper
 
 HYPER_DEFAULTS = {
     "LM-C": {"sigma02": 1.0, "eta0": 1e-4},
@@ -35,6 +28,35 @@ HYPER_DEFAULTS = {
     "LM-NI": {"M": 100.0, "sigma0": 1000.0},
     "LM-L": {"lambda0": 0.1, "nu0": 1e-4, "sigma02": 1.0},
 }
+
+
+def _sigma2_of(params: dict):
+    """The noise variance: the sigma2 block, or the sigma block squared."""
+    if "sigma2" in params:
+        return params["sigma2"][0]
+    return params["sigma"][0] ** 2
+
+
+def gaussian_loglik(r: np.ndarray, sigma2) -> np.ndarray:
+    """log N(y_i | x_i'beta, sigma2) per observation, from the residuals r = y - X beta."""
+    return -0.5 * (np.log(2.0 * np.pi * sigma2) + r**2 / sigma2)
+
+
+def simulate(params: dict, X: np.ndarray, rng) -> np.ndarray:
+    """y ~ N(X beta, sigma2), one draw per row of X from the stream ``rng``."""
+    return X @ params["beta"] + math.sqrt(_sigma2_of(params)) * rng.standard_normal(X.shape[0])
+
+
+def gen_linear(n: int, p: int, covariates: str = "continuous", zero_pattern: int = 0,
+               seed: int = 0) -> Dataset:
+    """Gaussian linear regression data: beta_j ~ U(-7, 7), sigma2 ~ U(2, 10), y by ``simulate``."""
+    check_design(n, p, covariates, zero_pattern, seed=seed)
+    r_beta, r_sig, r_x, r_noise = _streams(seed)
+    beta = _draw_beta(r_beta, p, -7.0, 7.0, zero_pattern)
+    sigma2 = r_sig.uniform(2.0, 10.0)
+    X = _draw_X(r_x, n, p, covariates)
+    y = simulate({"beta": beta, "sigma2": np.array([sigma2])}, X, r_noise)
+    return Dataset(y=y, X=X, truth=GroundTruth(beta=beta, sigma2=sigma2))
 
 
 class LinearModel(Model):
@@ -73,11 +95,6 @@ class LinearModel(Model):
             self.lasso = LassoPrior(h["lambda0"])
 
     # ---- helpers ---------------------------------------------------
-
-    def _sigma2_of(self, params: dict) -> float:
-        if "sigma2" in params:
-            return float(np.atleast_1d(params["sigma2"])[0])
-        return float(np.atleast_1d(params["sigma"])[0]) ** 2
 
     def _sigma2_prior(self):
         """Inverse-gamma (a, b) of the sigma2 prior under LM-C and LM-L."""
@@ -140,18 +157,17 @@ class LinearModel(Model):
     # ---- densities -------------------------------------------------
 
     def log_likelihood_pointwise(self, params):
-        s2 = self._sigma2_of(params)
-        return gaussian_loglik(self.y, self.X @ params["beta"], s2)
+        return gaussian_loglik(self.y - self.X @ params["beta"], _sigma2_of(params))
 
     def log_prior(self, params):
         beta = np.asarray(params["beta"], dtype=float)
         h = self.hyper
         if self.prior_id == "LM-C":
-            s2 = self._sigma2_of(params)
+            s2 = _sigma2_of(params)
             lp = gaussian_prior(beta, s2)
             return lp + ig_logpdf(s2, *self._sigma2_prior())
         if self.prior_id in ("LM-WI", "LM-NI"):
-            sig = float(np.atleast_1d(params["sigma"])[0])
+            sig = params["sigma"][0]
             lp = gaussian_prior(beta, h["M"] ** 2)
             if self.prior_id == "LM-WI":
                 if sig <= 0:
@@ -163,8 +179,8 @@ class LinearModel(Model):
                 return -math.inf
             return lp - math.log(h["sigma0"])
         # LM-L
-        s2 = self._sigma2_of(params)
-        lam2 = float(np.atleast_1d(params["lambda2"])[0])
+        s2 = _sigma2_of(params)
+        lam2 = params["lambda2"][0]
         if lam2 <= 0:
             return -math.inf
         lp, log_lambda0, lambda0_lam2 = self.lasso.log_prior_terms(beta, lam2)
@@ -178,14 +194,13 @@ class LinearModel(Model):
         params, log_jac, pullback = self.space.transform(u)
         beta = params["beta"]
         h = self.hyper
+        s2 = _sigma2_of(params)
         r = self.y - self.X @ beta
         rr = r @ r
-        lik = self.log_likelihood_pointwise(params).sum()
-        value = self._log_posterior(log_jac, params, lik)
+        value = self._log_posterior(log_jac, params, gaussian_loglik(r, s2).sum())
         grads = {}
         if self.prior_id in ("LM-WI", "LM-NI"):
-            sig = float(np.atleast_1d(params["sigma"])[0])
-            s2 = sig**2
+            sig = params["sigma"][0]
             grads["beta"] = self.X.T @ r / s2 - beta / h["M"] ** 2
             dlik_ds2 = -self.n / (2.0 * s2) + rr / (2.0 * s2**2)
             g_sig = dlik_ds2 * 2.0 * sig
@@ -193,13 +208,12 @@ class LinearModel(Model):
                 g_sig += -2.0 * sig / (s2 + h["d0"] ** 2)
             grads["sigma"] = g_sig
             return value, pullback(grads)
-        s2 = self._sigma2_of(params)
         if self.prior_id == "LM-C":
             grads["beta"] = (self.X.T @ r - beta) / s2
             # beta | s2 ~ N(0, s2 I) adds p and |beta|^2 to the likelihood's n and |r|^2
             m, q = self.n + self.p, rr + beta @ beta
         else:  # LM-L
-            lam2 = float(np.atleast_1d(params["lambda2"])[0])
+            lam2 = params["lambda2"][0]
             g_sign, grads["lambda2"] = self.lasso.grads(beta, lam2)
             grads["beta"] = self.X.T @ r / s2 - g_sign
             m, q = self.n, rr

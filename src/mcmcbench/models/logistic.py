@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ..datagen import Dataset
+from ..datagen import Dataset, GroundTruth, _draw_beta, _draw_X, _streams, check_design
 from ..params import Block, Identity, Log, ParamSpace
 from .base import LassoPrior, Model, coordinate_sweep, gaussian_prior, merge_hyper
 
@@ -18,6 +18,26 @@ HYPER_DEFAULTS = {
     "LR-N": {"b02": 10.0},
     "LR-L": {"lambda0": 0.1},
 }
+
+
+def sigmoid(eta):
+    """The logistic link 1 / (1 + exp(-eta)): P(y = 1) at eta = x'beta."""
+    return 1.0 / (1.0 + np.exp(-eta))
+
+
+def simulate(params: dict, X: np.ndarray, rng) -> np.ndarray:
+    """y ~ Bernoulli(sigmoid(X beta)), one draw per row of X from the stream ``rng``."""
+    return (rng.random(X.shape[0]) < sigmoid(X @ params["beta"])).astype(float)
+
+
+def gen_logistic(n: int, p: int, zero_pattern: int = 0, seed: int = 0) -> Dataset:
+    """Binary data: beta_j ~ U(-7, 7), y by ``simulate``."""
+    check_design(n, p, zero_pattern=zero_pattern, seed=seed)
+    r_beta, _, r_x, r_noise = _streams(seed)
+    beta = _draw_beta(r_beta, p, -7.0, 7.0, zero_pattern)
+    X = _draw_X(r_x, n, p, "continuous")
+    y = simulate({"beta": beta}, X, r_noise)
+    return Dataset(y=y, X=X, truth=GroundTruth(beta=beta))
 
 
 def _softplus(e):
@@ -46,15 +66,18 @@ class LogisticModel(Model):
         if prior_id == "LR-L":
             self.lasso = LassoPrior(h["lambda0"])
 
-    def log_likelihood_pointwise(self, params):
-        eta = self.X @ params["beta"]
+    def _loglik(self, eta):
+        """Per-observation log-likelihood at eta = X beta."""
         return self.y * eta - np.logaddexp(0.0, eta)
+
+    def log_likelihood_pointwise(self, params):
+        return self._loglik(self.X @ params["beta"])
 
     def log_prior(self, params):
         beta = np.asarray(params["beta"], dtype=float)
         if self.prior_id == "LR-N":
             return float(gaussian_prior(beta, self.hyper["b02"]))
-        lam2 = float(np.atleast_1d(params["lambda2"])[0])
+        lam2 = params["lambda2"][0]
         if lam2 <= 0:
             return -math.inf
         lp, log_lambda0, lambda0_lam2 = self.lasso.log_prior_terms(beta, lam2)
@@ -64,14 +87,13 @@ class LogisticModel(Model):
         params, log_jac, pullback = self.space.transform(u)
         beta = params["beta"]
         eta = self.X @ beta
-        prob = 1.0 / (1.0 + np.exp(-eta))
-        value = self._log_posterior(log_jac, params, (self.y * eta - np.logaddexp(0.0, eta)).sum())
+        value = self._log_posterior(log_jac, params, self._loglik(eta).sum())
         grads = {}
-        g_beta = self.X.T @ (self.y - prob)
+        g_beta = self.X.T @ (self.y - sigmoid(eta))
         if self.prior_id == "LR-N":
             grads["beta"] = g_beta - beta / self.hyper["b02"]
         else:
-            lam2 = float(np.atleast_1d(params["lambda2"])[0])
+            lam2 = params["lambda2"][0]
             g_sign, grads["lambda2"] = self.lasso.grads(beta, lam2)
             grads["beta"] = g_beta - g_sign
         return value, pullback(grads)

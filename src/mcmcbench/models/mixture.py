@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..datagen import Dataset
+from ..datagen import Dataset, GroundTruth, _streams, check_design
 from ..params import Block, Identity, Log, ParamSpace, PinnedSoftmax, sum_in_order
 from .base import Model, ig_log_terms, merge_hyper
 
@@ -27,6 +27,23 @@ HYPER_DEFAULTS = {"a0": 1.0, "b0": 1.0, "c0": 1.0, "d0": 1.0}
 # Draws per evaluation in ``log_likelihood_draws``: 32 draws of H=4, n=1000
 # make 1 MB temporaries.
 DRAW_BLOCK = 32
+
+
+def gen_mixture(n: int, H: int, seed: int = 0) -> Dataset:
+    """Equal-weight univariate Gaussian mixture data, unit component sd."""
+    check_design(n, H=H, seed=seed)
+    if H == 2:
+        r_mu, _, _, r_noise = _streams(seed)
+        mu = np.array([r_mu.uniform(-2.0, 0.0), r_mu.uniform(1.0, 3.0)])
+    else:
+        _, _, _, r_noise = _streams(seed)
+        mu = np.array([-4.0, 0.0, 2.0, 6.0])
+    weights = np.full(H, 1.0 / H)
+    # equal weights only: a draw from general weights would use the stream differently
+    z = r_noise.integers(0, H, size=n)
+    y = mu[z] + r_noise.standard_normal(n)
+    truth = GroundTruth(mixture={"weights": weights, "means": mu, "sds": np.ones(H)})
+    return Dataset(y=y, truth=truth)
 
 
 def _gaussian_logpdf(dd, s, out=None):

@@ -18,6 +18,9 @@ from mcmcbench import datagen, diagnostics
 from mcmcbench.diagnostics import ess, hard_shrinkage_select
 from mcmcbench.harness import PRIORS, ExperimentConfig, make_dataset, run_experiment
 from mcmcbench.models import get_model
+from mcmcbench.models.aft import gen_aft
+from mcmcbench.models.logistic import gen_logistic
+from mcmcbench.models.mixture import gen_mixture
 from mcmcbench.samplers import SamplerConfig, run
 from mcmcbench.samplers.nuts import leapfrog
 
@@ -107,7 +110,7 @@ def test_5_censoring_calibration():
     """Empirical censored fraction tracks the requested rate k."""
     ok = True
     for k in (0.2, 0.5, 0.8):
-        ds = datagen.gen_aft(10_000, 4, k, seed=0)
+        ds = gen_aft(10_000, 4, k, seed=0)
         if abs(1.0 - ds.delta.mean() - k) > 0.015:
             ok = False
     _verdict(5, "censoring rate calibrated within 0.015", ok)
@@ -151,7 +154,7 @@ def test_7_property_suite():
             ok = False
 
     # gradient vs central finite differences
-    model = get_model("LR-N", datagen.gen_logistic(40, 3, seed=1))
+    model = get_model("LR-N", gen_logistic(40, 3, seed=1))
     u0 = rng.normal(size=model.dim) * 0.3
     _, g = model.logp_and_grad(u0)
     h = 1e-6
@@ -213,7 +216,7 @@ def test_7_property_suite():
 
     from scipy.special import logsumexp
 
-    ds = datagen.gen_mixture(8, 2, seed=3)
+    ds = gen_mixture(8, 2, seed=3)
     marg = get_model("MM", ds, H=2, parameterization="marginal")
     params = {
         "mu": np.array([-1.0, 2.0]),

@@ -90,7 +90,7 @@ from mcmcbench.harness import ExperimentConfig, run_experiment
 run_experiment(ExperimentConfig(prior="LR-N", n=50, p=3, n_iter=300, n_burn=100))
 """,
     "MM-build": """
-from mcmcbench.datagen import gen_mixture
+from mcmcbench.models.mixture import gen_mixture
 from mcmcbench.models import get_model
 for parameterization in ("marginal", "latent"):
     get_model("MM", gen_mixture(50, 2), H=2, parameterization=parameterization)

@@ -9,9 +9,12 @@ from scipy.special import logsumexp
 
 from mcmcbench import datagen
 from mcmcbench.harness import ExperimentConfig
-from mcmcbench.models import PRIORS, get_model
+from mcmcbench.models import PRIORS, aft, get_model, linear, logistic
 from mcmcbench.models.base import UnsupportedOperationError, coordinate_logdens
-from mcmcbench.models.linear import HYPER_DEFAULTS
+from mcmcbench.models.aft import gen_aft
+from mcmcbench.models.linear import HYPER_DEFAULTS, gen_linear
+from mcmcbench.models.logistic import gen_logistic
+from mcmcbench.models.mixture import gen_mixture
 
 
 def rng(seed=0):
@@ -103,7 +106,7 @@ def mixture_gradient_reference(model, u):
 @pytest.mark.parametrize("H", [2, 4])
 def test_mixture_gradient_on_hard_parameters(H):
     """Narrow and wide components, far means and a weight of 1e-6."""
-    model = get_model("MM", datagen.gen_mixture(1000, H, seed=7), H=H)
+    model = get_model("MM", gen_mixture(1000, H, seed=7), H=H)
     r = rng(8)
     for k in range(20):
         g = r.gamma(1.0, 1.0, H)
@@ -143,26 +146,28 @@ def test_mixture_gradient_work_arrays_carry_nothing_over(H):
     assert v2 == model.log_posterior_u(u2)
 
 
-@pytest.mark.parametrize("H", [2, 4])
-def test_mixture_gradient_far_out_gives_numpy_inf_and_nan(H):
-    # where exp under- or overflows, or v2**2 passes the largest float, the
+def check_far_out_gives_numpy_inf_and_nan(model):
+    # where exp under- or overflows, or a square passes the largest float, the
     # gradient takes the inf or nan of numpy arithmetic instead of raising,
-    # and the value is log_posterior_u's
-    model = build("MM", seed=3, n=50, H=H)
+    # and the value is log_posterior_u's, which raises nowhere either
     u0 = model.initial_u()
-    points = []
-    for j in range(model.dim):
-        for x in (800.0, -800.0):
-            points.append(u0.copy())
-            points[-1][j] = x
-    for x in (356.0, -800.0):
-        points.append(u0.copy())
-        points[-1][model.space.u_slice("v2")] = x
     with np.errstate(all="ignore"):
-        for u in points:
+        for j, x in itertools.product(range(model.dim), (-800.0, -400.0, 356.0, 400.0, 800.0)):
+            u = u0.copy()
+            u[j] = x
             value, grad = model.logp_and_grad(u)
             assert grad.shape == (model.dim,)
-            np.testing.assert_equal(value, model.log_posterior_u(u))
+            np.testing.assert_equal(value, model.log_posterior_u(u), err_msg=f"u[{j}]={x}")
+
+
+@pytest.mark.parametrize("H", [2, 4])
+def test_mixture_gradient_far_out_gives_numpy_inf_and_nan(H):
+    check_far_out_gives_numpy_inf_and_nan(build("MM", seed=3, n=50, H=H))
+
+
+@pytest.mark.parametrize("prior", [m for m in GRAD_MODELS if m != "MM"])
+def test_gradient_far_out_gives_numpy_inf_and_nan(prior):
+    check_far_out_gives_numpy_inf_and_nan(build(prior, seed=3, n=50))
 
 
 def test_gradient_vanishes_at_mode():
@@ -189,7 +194,7 @@ def test_lr_hand_gradient():
 
 
 def test_latent_mixture_has_no_gradient():
-    ds = datagen.gen_mixture(20, 2, seed=0)
+    ds = gen_mixture(20, 2, seed=0)
     model = get_model("MM", ds, H=2, parameterization="latent")
     assert not model.has_gradient
     with pytest.raises(UnsupportedOperationError):
@@ -225,7 +230,7 @@ def test_lmc_hand_value_single_obs():
 
 
 def test_posterior_decreases_away_from_truth():
-    ds = datagen.gen_linear(200, 3, seed=5)
+    ds = gen_linear(200, 3, seed=5)
     model = get_model("LM-WI", ds)
     params_true = {
         "beta": ds.truth.beta,
@@ -238,7 +243,7 @@ def test_posterior_decreases_away_from_truth():
 
 
 def test_aft_all_censored_only_survival_terms():
-    ds = datagen.gen_aft(40, 3, 0.5, seed=6)
+    ds = gen_aft(40, 3, 0.5, seed=6)
     ds = datagen.Dataset(y=ds.y, X=ds.X, delta=np.zeros_like(ds.delta), truth=ds.truth)
     model = get_model("AFT-NH", ds)
     beta = 0.1 * np.ones(3)
@@ -250,7 +255,7 @@ def test_aft_all_censored_only_survival_terms():
 
 
 def test_aft_uncensored_matches_weibull_density():
-    ds = datagen.gen_aft(30, 3, 0.3, seed=7)
+    ds = gen_aft(30, 3, 0.3, seed=7)
     ds = datagen.Dataset(y=ds.y, X=ds.X, delta=np.ones_like(ds.delta), truth=ds.truth)
     model = get_model("AFT-NH", ds)
     beta = np.array([0.2, -0.1, 0.4])
@@ -273,6 +278,54 @@ def test_aft_intercept_only_hand_value():
     model = get_model("AFT-NH", ds)
     pw = model.log_likelihood_pointwise({"beta": np.array([0.0]), "sigma": np.array([1.0])})
     assert pw[0] == pytest.approx(math.log(math.log(2.0)) - math.log(2.0) * 1.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# both sides of each likelihood: draws of ``simulate`` against the density code
+
+# Fixed before the first run: the seed, the draws per case, the draws per
+# logistic design row, and one bound on every p-value.
+SIMULATE_SEED, SIMULATE_N, SIMULATE_LR_REPS, SIMULATE_P_MIN = 2604, 4000, 5000, 1e-3
+
+
+def _design(r):
+    return np.column_stack([np.ones(SIMULATE_N), r.standard_normal((SIMULATE_N, 2))])
+
+
+def _simulate_lm(r):
+    # standardized residuals are N(0, 1), under the sigma2 block of LM-C and
+    # LM-L and under the sigma block of LM-WI and LM-NI
+    X, beta = _design(r), np.array([1.5, -2.0, 0.5])
+    p_values = []
+    for block, value, sigma in (("sigma2", 3.0, math.sqrt(3.0)), ("sigma", 0.7, 0.7)):
+        y = linear.simulate({"beta": beta, block: np.array([value])}, X, r)
+        p_values.append(stats.kstest((y - X @ beta) / sigma, stats.norm.cdf).pvalue)
+    return p_values
+
+
+def _simulate_lr(r):
+    # the frequency of y = 1 on each design row against exp of the model's
+    # log-likelihood of y = 1 there, by a binomial z
+    rows, beta = np.array([[1.0, -2.0], [1.0, -0.5], [1.0, 0.5], [1.0, 2.0]]), np.array([0.3, -1.2])
+    y = logistic.simulate({"beta": beta}, np.repeat(rows, SIMULATE_LR_REPS, axis=0), r)
+    freq = y.reshape(len(rows), SIMULATE_LR_REPS).mean(axis=1)
+    ones = get_model("LR-N", datagen.Dataset(y=np.ones(len(rows)), X=rows))
+    prob = np.exp(ones.log_likelihood_pointwise({"beta": beta}))
+    z = (freq - prob) / np.sqrt(prob * (1.0 - prob) / SIMULATE_LR_REPS)
+    return 2.0 * stats.norm.sf(np.abs(z))
+
+
+def _simulate_aft(r):
+    # the model's cumulative hazard of each event time is Exp(1)
+    X, beta, sigma = _design(r), np.array([0.4, -0.7, 0.2]), 1.6
+    t = aft.simulate({"beta": beta, "sigma": np.array([sigma])}, X, r)
+    return [stats.kstest(aft._cum_hazard(np.log(t), X @ beta, sigma), stats.expon.cdf).pvalue]
+
+
+@pytest.mark.parametrize("case", [_simulate_lm, _simulate_lr, _simulate_aft],
+                         ids=["LM", "LR", "AFT"])
+def test_simulate_agrees_with_density(case):
+    assert min(case(rng(SIMULATE_SEED))) > SIMULATE_P_MIN
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +360,7 @@ def test_mm_pointwise_identical_components():
 
 
 def test_mixture_marginal_equals_latent_brute_force():
-    ds = datagen.gen_mixture(7, 2, seed=10)
+    ds = gen_mixture(7, 2, seed=10)
     model = get_model("MM", ds, H=2, parameterization="latent")
     params = {
         "mu": np.array([-0.8, 1.4]),
@@ -324,7 +377,7 @@ def test_mixture_marginal_equals_latent_brute_force():
 
 
 def test_mixture_label_permutation_invariance():
-    ds = datagen.gen_mixture(25, 2, seed=11)
+    ds = gen_mixture(25, 2, seed=11)
     model = get_model("MM", ds, H=2)
     params = {
         "mu": np.array([-0.5, 1.2]),
@@ -357,7 +410,7 @@ def mixture_draws(r, n_draws, H, log_s2):
 def test_mixture_batched_pointwise_matches_per_draw_rows(H):
     from mcmcbench.models.mixture import DRAW_BLOCK
 
-    ds = datagen.gen_mixture(200, 4 if H == 4 else 2, seed=H)
+    ds = gen_mixture(200, 4 if H == 4 else 2, seed=H)
     model = get_model("MM", ds, H=H)
     samples = mixture_draws(rng(H), 2 * DRAW_BLOCK + 5, H, log_s2=(-4.0, 3.0))
     per_draw = np.array(
@@ -384,7 +437,7 @@ def test_lrn_beta_conditional_generic():
 
 
 def _lm_c_sigma2():
-    ds = datagen.gen_linear(40, 3, seed=12)
+    ds = gen_linear(40, 3, seed=12)
     model = get_model("LM-C", ds)
     h = HYPER_DEFAULTS["LM-C"]
     beta = np.array([0.3, -1.0, 0.5])
@@ -405,7 +458,7 @@ def _mvgaussian(mean_got, mat_got, mean, mat):
 
 def _lm_c_beta():
     # the scan draws beta_hat + sqrt(s2) Lv z, so its covariance is s2 Lv Lv'
-    ds = datagen.gen_linear(40, 3, seed=25)
+    ds = gen_linear(40, 3, seed=25)
     model = get_model("LM-C", ds)
     s2 = 1.7
     V = np.linalg.inv(ds.X.T @ ds.X + np.eye(3))
@@ -415,7 +468,7 @@ def _lm_c_beta():
 
 def _lm_sigma_beta(prior):
     # the scan draws mean + L'^-1 z with the lower factor L of the precision
-    ds = datagen.gen_linear(40, 3, seed=24)
+    ds = gen_linear(40, 3, seed=24)
     model = get_model(prior, ds)
     sig = 1.3
     precision = ds.X.T @ ds.X / sig**2 + np.eye(3) / model.hyper["M"] ** 2
@@ -426,7 +479,7 @@ def _lm_sigma_beta(prior):
 
 
 def _mm_state():
-    ds = datagen.gen_mixture(30, 4, seed=21)
+    ds = gen_mixture(30, 4, seed=21)
     hyper = {"a0": 2.0, "b0": 0.5, "c0": 3.0, "d0": 1.5}
     model = get_model("MM", ds, H=4, parameterization="latent", hyper=hyper)
     params = {
@@ -486,7 +539,7 @@ def _mm_p():
 
 
 def _lm_l_state():
-    ds = datagen.gen_linear(40, 3, seed=22)
+    ds = gen_linear(40, 3, seed=22)
     params = {
         "beta": np.array([0.4, -1.2, 0.0]),
         "sigma2": np.array([1.7]),
@@ -529,7 +582,7 @@ def _lm_l_lambda2():
 
 
 def _lr_l_lambda2():
-    ds = datagen.gen_logistic(40, 3, seed=23)
+    ds = gen_logistic(40, 3, seed=23)
     params = {"beta": np.array([0.9, 0.0, -0.3]), "lambda2": np.array([2.0])}
     return _lasso_lambda2_differences(get_model("LR-L", ds), params)
 
@@ -783,7 +836,7 @@ def test_closed_form_empty_data_returns_prior(lmc_posterior):
 
 
 def test_closed_form_matches_direct_algebra(lmc_posterior):
-    ds = datagen.gen_linear(50, 3, seed=15)
+    ds = gen_linear(50, 3, seed=15)
     model = get_model("LM-C", ds)
     h = HYPER_DEFAULTS["LM-C"]
     post = lmc_posterior(ds.X, ds.y, h)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mcmcbench import datagen, diagnostics
+from mcmcbench import diagnostics
 from mcmcbench.models import get_model
+from mcmcbench.models.linear import gen_linear
 from mcmcbench.params import Block, ParamSpace
 from mcmcbench.samplers import SamplerConfig, chain_rng, nuts, run
 from mcmcbench.samplers.nuts import leapfrog
@@ -300,7 +301,7 @@ def test_indivisible_schedule_rejected():
 
 @pytest.mark.parametrize("backend", ["rwmh", "gibbs", "nuts"])
 def test_chain_shapes_and_metadata(backend):
-    ds = datagen.gen_linear(25, 3, seed=6)
+    ds = gen_linear(25, 3, seed=6)
     model = get_model("LM-C", ds)
     chain = run(backend, model, cfg_for(backend, n_iter=400, n_burn=100, seed=7))
     assert chain.samples.shape == (150, 4)
@@ -316,7 +317,7 @@ def test_chain_shapes_and_metadata(backend):
 
 @pytest.mark.parametrize("backend", ["rwmh", "gibbs", "nuts"])
 def test_seed_determinism(backend):
-    ds = datagen.gen_linear(25, 3, seed=8)
+    ds = gen_linear(25, 3, seed=8)
 
     def one():
         model = get_model("LM-WI", ds)
@@ -338,7 +339,7 @@ def test_unknown_backend():
 
 
 def test_gibbs_matches_closed_form_lmc(lmc_posterior):
-    ds = datagen.gen_linear(50, 3, seed=11)
+    ds = gen_linear(50, 3, seed=11)
     model = get_model("LM-C", ds)
     post = lmc_posterior(ds.X, ds.y, model.hyper)
     chain = run("gibbs", model, cfg_for("gibbs", n_iter=4000, n_burn=1000, seed=12))
@@ -352,7 +353,7 @@ def test_gibbs_matches_closed_form_lmc(lmc_posterior):
 
 
 def test_rwmh_acceptance_near_target():
-    ds = datagen.gen_linear(100, 4, seed=13)
+    ds = gen_linear(100, 4, seed=13)
     model = get_model("LM-C", ds)
     chain = run("rwmh", model, cfg_for("rwmh", n_iter=8000, n_burn=4000, seed=14))
     acc = chain.stats["acceptance"]
